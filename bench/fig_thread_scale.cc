@@ -4,15 +4,15 @@
  * figure): replays the same LeaFTL run with a shard pool of 1, 2, 4
  * and 8 workers and reports host wall-clock speedup over the serial
  * engine. The simulated results are deterministic by construction --
- * the pool only computes read-only translation probes and disjoint
- * per-group learns between conservative barriers -- so the bench
+ * the pool only runs disjoint per-group learns and compactions
+ * between conservative barriers -- so the bench
  * hard-fails if any simulated metric differs across worker counts;
  * the speedup column is informational (it depends on the host's core
  * count, which CI containers often cap at 1).
  *
- * A write-heavy skewed mix keeps the learned table busy: buffer
- * flushes batch hundreds of translation probes per window, which is
- * where the pool earns its keep.
+ * A write-heavy skewed mix keeps the learned table busy: every buffer
+ * flush learns into many groups at once, which is where the pool
+ * earns its keep.
  */
 
 #include <cinttypes>
@@ -35,8 +35,8 @@ threadMixSpec(const leaftl::bench::BenchScale &s)
     spec.name = "thread-mix";
     spec.working_set_pages = s.working_set_pages;
     spec.num_requests = s.requests;
-    // Write-heavy: flush-time invalidation probes and learns dominate,
-    // the paths the worker pool parallelizes.
+    // Write-heavy: flush-time learns and compactions dominate, the
+    // paths the worker pool parallelizes.
     spec.read_ratio = 0.4;
     spec.p_seq = 0.2;
     spec.seq_len_mean = 32;
@@ -98,7 +98,6 @@ main(int argc, char **argv)
         if (threads > 1) {
             pool = std::make_unique<ShardPool>(threads);
             ssd.attachShardPool(pool.get());
-            opts.pool = pool.get();
         }
         auto wl = std::make_unique<MixWorkload>(threadMixSpec(s));
         opts.prefill_pages = s.working_set_pages;

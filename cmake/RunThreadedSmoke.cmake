@@ -2,9 +2,9 @@
 # --threads 1 and --threads 4 on the tiny device must emit the same
 # CSV bit for bit, except for the host wall-clock column (wall_ns,
 # the last column). Replay is deterministic by construction -- the
-# worker pool only computes read-only translation probes and disjoint
-# per-group learns between conservative barriers -- so any divergence
-# here is a real concurrency bug, not noise.
+# worker pool only runs disjoint per-group learns and compactions
+# between conservative barriers -- so any divergence here is a real
+# concurrency bug, not noise.
 # Invoked by CTest with -DSIM_BIN=<path to leaftl_sim>.
 
 if(NOT SIM_BIN)

@@ -129,7 +129,12 @@ std::string
 jsonStringArray(const std::vector<std::string> &items)
 {
     return jsonArray(items, [](const std::string &s) {
-        return "\"" + jsonEscape(s) + "\"";
+        // Appended, not an operator+ chain: GCC 12 at -O3 reports a
+        // false -Wrestrict on the chained form.
+        std::string quoted = "\"";
+        quoted += jsonEscape(s);
+        quoted += '"';
+        return quoted;
     });
 }
 
@@ -281,8 +286,6 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
             if (spec.threads > 1) {
                 run_pool = std::make_unique<ShardPool>(spec.threads);
                 ssd.attachShardPool(run_pool.get());
-                ropts.pool = run_pool.get();
-                ropts.barrier_quantum = spec.barrier_quantum;
             }
             ShaperSpec shaper;
             shaper.rate_iops = p.rate;

@@ -175,12 +175,11 @@ usage()
         << "  --jobs N         sweep worker threads (default: hardware\n"
         << "                   concurrency; rows stay in sweep order;\n"
         << "                   capped so jobs x threads fits the host)\n"
-        << "  --threads N      intra-run replay workers per run\n"
-        << "                   (default 1; results are bit-identical\n"
-        << "                   for any value -- wall clock only)\n"
-        << "  --quantum N      requests per intra-run barrier window\n"
-        << "                   (default " << kDefaultBarrierQuantum
-        << "; results do not depend on it)\n"
+        << "  --threads N      intra-run workers per run: LeaFTL fans\n"
+        << "                   its per-group learns and compactions\n"
+        << "                   out across them (default 1; results are\n"
+        << "                   bit-identical for any value -- wall\n"
+        << "                   clock only)\n"
         << "  --campaign-diff A B  compare two BENCH_<name>.json\n"
         << "                   summaries by run fingerprint and print\n"
         << "                   per-run throughput/p99 deltas\n"
@@ -268,7 +267,6 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
         {"--burst-duty", "burst-duty"},
         {"--jobs", "jobs"},
         {"--threads", "threads"},
-        {"--quantum", "quantum"},
         {"--requests", "requests"},
         {"--ws", "ws"},
         {"--dram-mb", "dram-mb"},
@@ -710,8 +708,6 @@ runSweep(const config::ExperimentSpec &opts, std::ostream &out)
                         run_pool =
                             std::make_unique<ShardPool>(opts.threads);
                         ssd.attachShardPool(run_pool.get());
-                        ropts.pool = run_pool.get();
-                        ropts.barrier_quantum = opts.barrier_quantum;
                     }
                     wl = applyMode(std::move(wl), t.mode, t.rate, opts,
                                    ropts);

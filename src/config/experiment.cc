@@ -76,7 +76,7 @@ knownExperimentKeys()
 {
     return {"ftl",     "workload",     "gamma",      "qd",
             "device",  "mode",         "rate",       "burst-duty",
-            "trace-strict", "jobs",    "threads",    "quantum",
+            "trace-strict", "jobs",    "threads",
             "requests", "ws",
             "dram-mb", "dram-bytes",   "prefill",    "read-ratio",
             "interarrival", "seed",
@@ -243,15 +243,6 @@ applyExperimentKey(ExperimentSpec &spec, const std::string &raw_key,
             return false;
         }
         spec.threads = static_cast<unsigned>(v);
-        return true;
-    }
-    if (key == "quantum") {
-        uint64_t v;
-        if (!parseU64(value, v) || v > (1u << 20)) {
-            err = "bad quantum '" + value + "'";
-            return false;
-        }
-        spec.barrier_quantum = static_cast<uint32_t>(v);
         return true;
     }
     if (key == "requests") {

@@ -94,8 +94,6 @@ struct ExperimentSpec
      * run fingerprint.
      */
     unsigned threads = 1;
-    /** Key "quantum": requests per barrier window (0 = default). */
-    uint32_t barrier_quantum = 0;
 
     uint64_t requests = 100'000;              ///< Key "requests".
     uint64_t working_set_pages = 64 * 1024;   ///< Key "ws".

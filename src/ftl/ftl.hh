@@ -24,7 +24,6 @@ namespace leaftl
 {
 
 class LearnedTable;
-struct RawLookup;
 class ShardPool;
 struct SsdConfig;
 
@@ -61,19 +60,6 @@ class Ftl
 
     /** Translate one LPA (read or invalidation path). */
     virtual TranslateResult translate(Lpa lpa) = 0;
-
-    /**
-     * Translate one LPA given a raw learned-table probe computed
-     * earlier in the same quiescent window (intra-run parallelism).
-     * FTLs without a learned table ignore the hint; LeaFTL consumes
-     * it through the epoch-validated hint path. Results are identical
-     * to translate() by construction.
-     */
-    virtual TranslateResult
-    translateHinted(Lpa lpa, const RawLookup &)
-    {
-        return translate(lpa);
-    }
 
     /**
      * Attach the intra-run worker pool (nullptr detaches). Only

@@ -81,18 +81,6 @@ LeaFtl::translate(Lpa lpa)
     return {true, res->ppa, res->approximate};
 }
 
-TranslateResult
-LeaFtl::translateHinted(Lpa lpa, const RawLookup &raw)
-{
-    auto res = table_->lookupHinted(lpa, raw);
-    if (!res)
-        return {};
-    touchGroup(groupOf(lpa), /*dirty=*/false);
-    if (res->ppa == kTombstonePpa && !res->approximate)
-        return {}; // Trimmed.
-    return {true, res->ppa, res->approximate};
-}
-
 void
 LeaFtl::setShardPool(ShardPool *pool)
 {
@@ -178,16 +166,11 @@ void
 LeaFtl::restoreChain(const std::vector<uint8_t> &base,
                      const std::vector<std::vector<uint8_t>> &deltas)
 {
-    const uint64_t old_epoch = table_->epoch();
     auto table = LearnedTable::deserialize(base);
     for (const auto &delta : deltas) {
         const bool ok = table->applyDelta(delta);
         LEAFTL_ASSERT(ok, "corrupt snapshot delta");
     }
-    // Outstanding RawLookup hints carry entry pointers into the table
-    // being replaced; force their epochs to mismatch against the
-    // restored one so they retire instead of dereferencing.
-    table->advanceEpochBeyond(old_epoch);
     table->setShardPool(pool_); // The new table inherits the workers.
     table_ = std::move(table);
     // DRAM residency is gone after a crash; groups reload on demand.

@@ -178,7 +178,7 @@ LearnedTable::lookup(Lpa lpa) const
     // covers and owns this offset (and the table is unchanged), a full
     // scan would find exactly this segment at depth 1 -- within a
     // level, covering segments are unique, and level 0 is topmost.
-    if (cache_.top && cache_.epoch == epoch() &&
+    if (cache_.top && cache_.epoch == epoch_ &&
         group->hasLpa(*cache_.top, off)) {
         stats_.lookup_cache_hits++;
         stats_.lookups++;
@@ -194,85 +194,12 @@ LearnedTable::lookup(Lpa lpa) const
         return std::nullopt;
     if (top_hit) {
         cache_.top = top_hit;
-        cache_.epoch = epoch();
+        cache_.epoch = epoch_;
     }
     stats_.lookups++;
     stats_.lookup_levels_total += res->levels_visited;
     stats_.lookup_levels.add(res->levels_visited);
     return TableLookup{res->ppa, res->approximate, res->levels_visited};
-}
-
-RawLookup
-LearnedTable::lookupRaw(Lpa lpa) const
-{
-    RawLookup out;
-    out.epoch = epoch();
-    const Group *group = groups_.find(groupOf(lpa));
-    if (!group)
-        return out;
-    const uint8_t off = static_cast<uint8_t>(groupOffset(lpa));
-    const SegEntry *top_hit = nullptr;
-    auto res = group->lookup(off, &top_hit);
-    if (!res)
-        return out;
-    out.found = true;
-    out.ppa = res->ppa;
-    out.approximate = res->approximate;
-    out.levels_visited = res->levels_visited;
-    out.top = top_hit;
-    return out;
-}
-
-std::optional<TableLookup>
-LearnedTable::lookupHinted(Lpa lpa, const RawLookup &raw)
-{
-    if (raw.epoch != epoch())
-        return lookup(lpa); // Stale probe: a mutation intervened.
-
-    const uint32_t group_idx = groupOf(lpa);
-    const uint8_t off = static_cast<uint8_t>(groupOffset(lpa));
-
-    // Replay lookup()'s directory and last-hit shortcuts exactly --
-    // including their cache and statistics side effects -- so the
-    // observable table state evolves bit for bit as if lookup() ran.
-    const Group *group;
-    if (cache_.group_idx == group_idx) {
-        group = cache_.group;
-    } else {
-        group = groups_.find(group_idx);
-        if (group) {
-            cache_.group_idx = group_idx;
-            cache_.group = group;
-        } else {
-            cache_.group_idx = kInvalidLpa;
-            cache_.group = nullptr;
-        }
-        cache_.top = nullptr;
-    }
-    if (!group)
-        return std::nullopt;
-
-    if (cache_.top && cache_.epoch == epoch() &&
-        group->hasLpa(*cache_.top, off)) {
-        stats_.lookup_cache_hits++;
-        stats_.lookups++;
-        stats_.lookup_levels_total += 1;
-        stats_.lookup_levels.add(1);
-        return TableLookup{cache_.top->seg.predict(off),
-                           cache_.top->seg.approximate(), 1};
-    }
-
-    // Consume the precomputed level scan instead of re-walking it.
-    if (!raw.found)
-        return std::nullopt;
-    if (raw.top) {
-        cache_.top = raw.top;
-        cache_.epoch = epoch();
-    }
-    stats_.lookups++;
-    stats_.lookup_levels_total += raw.levels_visited;
-    stats_.lookup_levels.add(raw.levels_visited);
-    return TableLookup{raw.ppa, raw.approximate, raw.levels_visited};
 }
 
 void
@@ -517,19 +444,11 @@ LearnedTable::applyDelta(const std::vector<uint8_t> &blob, BlobError *err)
     else
         e = restoreGroups(blob, r.at, /*replace=*/true);
     // Group objects may have been replaced (even on a failed parse),
-    // so retire the lookup cache and outstanding hints unconditionally.
-    bumpEpoch();
+    // so reset the lookup cache unconditionally.
     cache_ = LookupCache();
     if (err)
         *err = e;
     return e == BlobError::None;
-}
-
-void
-LearnedTable::advanceEpochBeyond(uint64_t floor)
-{
-    if (epoch_.load(std::memory_order_relaxed) <= floor)
-        epoch_.store(floor + 1, std::memory_order_relaxed);
 }
 
 void

@@ -29,7 +29,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -68,28 +67,6 @@ struct TableLookup
     Ppa ppa;
     bool approximate;
     uint32_t levels_visited;
-};
-
-/**
- * Result of a thread-safe raw translation probe (lookupRaw): the full
- * level-scan outcome plus the epoch it was computed at. Raw probes
- * touch no mutable table state, so any number of workers may compute
- * them concurrently while no mutation runs (the shard runner's
- * quiescent-state discipline). The commit thread later consumes a
- * probe through lookupHinted(), which honors it only when the epoch
- * still matches -- a learn or compaction in between retires the hint
- * by mismatch (group objects never move or die, so a stale @a top is
- * detected, never dangling).
- */
-struct RawLookup
-{
-    uint64_t epoch = 0;        ///< Table epoch the probe ran at.
-    bool found = false;        ///< LPA had a mapping.
-    Ppa ppa = kInvalidPpa;     ///< Predicted PPA when found.
-    bool approximate = false;  ///< Served by an approximate segment.
-    uint32_t levels_visited = 0;
-    /** Level-0 serving entry (lookup-cache candidate), if any. */
-    const SegEntry *top = nullptr;
 };
 
 /**
@@ -138,33 +115,6 @@ class LearnedTable
 
     /** Translate an LPA; nullopt when never learned. */
     std::optional<TableLookup> lookup(Lpa lpa) const;
-
-    /**
-     * Thread-safe raw translation probe: the same level scan lookup()
-     * performs, but touching no mutable state (no lookup cache, no
-     * statistics). Safe to call from any number of threads while no
-     * mutation runs; the result carries the epoch it was computed at
-     * so lookupHinted() can validate it later.
-     */
-    RawLookup lookupRaw(Lpa lpa) const;
-
-    /**
-     * Translate an LPA using a previously computed raw probe. When
-     * @a raw is still current (same epoch), the level scan is skipped
-     * and the probe's result is consumed through exactly the lookup()
-     * cache and statistics protocol -- observable state evolves bit
-     * for bit as if lookup() had run. A stale probe (any mutation
-     * since) falls back to a full lookup(). Must be called from the
-     * commit thread (it advances the mutable lookup cache).
-     */
-    std::optional<TableLookup> lookupHinted(Lpa lpa, const RawLookup &raw);
-
-    /** Current mutation epoch (bumped by every learn/compact/restore). */
-    uint64_t
-    epoch() const
-    {
-        return epoch_.load(std::memory_order_relaxed);
-    }
 
     /**
      * Attach a worker pool: learns and compactions fan their
@@ -263,14 +213,6 @@ class LearnedTable
     bool applyDelta(const std::vector<uint8_t> &blob,
                     BlobError *err = nullptr);
 
-    /**
-     * Ensure this table's epoch is strictly greater than @a floor.
-     * Used when a restored table replaces a live one: outstanding
-     * RawLookup hints stamped by the old table must mismatch against
-     * the replacement (their cached entry pointers died with it).
-     */
-    void advanceEpochBeyond(uint64_t floor);
-
     /** Validate invariants of every group and the totals (tests). */
     void checkInvariants() const;
 
@@ -302,27 +244,15 @@ class LearnedTable
         total_bytes_ += g.memoryBytes();
     }
 
-    /** Bump the mutation epoch (single writer: the commit thread). */
-    void
-    bumpEpoch()
-    {
-        epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-    }
+    /** Bump the mutation epoch (retires the lookup cache's entry). */
+    void bumpEpoch() { epoch_++; }
 
     uint32_t gamma_;
     GroupDirectory groups_;
     /** Learn-path arena: reused across learns and compactions. */
     MergeScratch scratch_;
-    /**
-     * Bumped on every mutation; gates the lookup cache's entry and
-     * retires outstanding RawLookup hints. Atomic so concurrent raw
-     * probes may stamp it without formal data races; there is exactly
-     * one writer (the commit thread) and writes only happen while no
-     * probe runs, so relaxed ordering suffices -- the shard runner's
-     * barrier provides the happens-before edges.
-     */
-    std::atomic<uint64_t> epoch_{1};
+    /** Bumped on every mutation; gates the lookup cache's entry. */
+    uint64_t epoch_ = 1;
 
     /** Worker pool for parallel learns/compactions (not owned). */
     ShardPool *pool_ = nullptr;

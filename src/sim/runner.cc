@@ -4,7 +4,6 @@
 
 #include "learned/learned_table.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard_runner.hh"
 #include "util/rng.hh"
 
 namespace leaftl
@@ -119,15 +118,10 @@ Runner::replay(Ssd &ssd, WorkloadSource &workload, const RunOptions &opts)
         }
     };
 
-    LearnedTable *table = ssd.ftl().learnedTable();
-
     // Crash-injection schedule: before processing request i, if i
     // matches the next crash point, retire everything inflight, crash
-    // and recover the device, and refresh the table pointer (the
-    // recovered device carries a new table; hints stamped by the old
-    // one retire by epoch mismatch, keeping threaded replay
-    // bit-identical to serial). The channel busy-until state carries
-    // the recovery work, so later requests queue behind it naturally.
+    // and recover the device. The channel busy-until state carries the
+    // recovery work, so later requests queue behind it naturally.
     size_t next_crash = 0;
     auto maybeCrash = [&]() {
         while (next_crash < opts.crash_points.size() &&
@@ -146,14 +140,12 @@ Runner::replay(Ssd &ssd, WorkloadSource &workload, const RunOptions &opts)
             res.recovery.replayed_journal_bytes +=
                 r.replayed_journal_bytes;
             res.recovery.recovery_time += r.recovery_time;
-            table = ssd.ftl().learnedTable();
         }
     };
 
-    // Process one request (arrival already shifted): this is the
-    // serial replay body, shared verbatim by the legacy loop and the
-    // windowed pipeline below -- the pipeline only supplies @a hints.
-    auto processRequest = [&](IoRequest &req, const RawLookup *hints) {
+    IoRequest req;
+    while (workload.next(req)) {
+        req.arrival += arrival_base;
         maybeCrash();
         // The request becomes submittable once it has arrived and its
         // predecessor has been submitted (in-order submission queue).
@@ -168,7 +160,7 @@ Runner::replay(Ssd &ssd, WorkloadSource &workload, const RunOptions &opts)
         advance(submit_at);
 
         req.tag = res.requests; // Submission index, echoed at retirement.
-        const Tick done = ssd.submit(req, submit_at, hints);
+        const Tick done = ssd.submit(req, submit_at);
         inflight.push(done, req.tag);
         last_submit = submit_at;
         res.max_inflight =
@@ -194,68 +186,6 @@ Runner::replay(Ssd &ssd, WorkloadSource &workload, const RunOptions &opts)
         last_arrival = std::max(last_arrival, req.arrival);
         res.pages_touched += req.npages;
         res.requests++;
-    };
-
-    const bool pipelined =
-        opts.pool && opts.pool->workers() > 1 && table != nullptr;
-    if (!pipelined) {
-        IoRequest req;
-        while (workload.next(req)) {
-            req.arrival += arrival_base;
-            processRequest(req, nullptr);
-        }
-    } else {
-        // Windowed pipeline: pull up to one barrier quantum of
-        // requests, fan their read-translation probes out across the
-        // workers (pure reads in a quiescent window), then replay the
-        // window serially, consuming each probe through the
-        // epoch-validated hint path. A probe staled by an earlier
-        // request in the same window (flush, GC, compaction) falls
-        // back to a full lookup, so the replay is bit-identical to the
-        // serial engine no matter where the window boundaries land.
-        const uint32_t quantum = opts.barrier_quantum
-                                     ? opts.barrier_quantum
-                                     : kDefaultBarrierQuantum;
-        const uint64_t host_pages = ssd.config().hostPages();
-        constexpr size_t kNoHints = static_cast<size_t>(-1);
-        std::vector<IoRequest> window;
-        std::vector<size_t> hint_base; // Per request, index into raws.
-        std::vector<Lpa> probe_lpas;
-        std::vector<RawLookup> raws;
-        bool more = true;
-        while (more) {
-            window.clear();
-            hint_base.clear();
-            probe_lpas.clear();
-            IoRequest req;
-            while (window.size() < quantum && (more = workload.next(req))) {
-                req.arrival += arrival_base;
-                if (req.op == Op::Read) {
-                    hint_base.push_back(probe_lpas.size());
-                    for (uint32_t i = 0; i < req.npages; i++)
-                        probe_lpas.push_back(static_cast<Lpa>(
-                            (req.lpa + i) % host_pages));
-                } else {
-                    hint_base.push_back(kNoHints);
-                }
-                window.push_back(req);
-            }
-            if (window.empty())
-                break;
-            raws.resize(probe_lpas.size());
-            opts.pool->parallelFor(
-                probe_lpas.size(),
-                [&](size_t begin, size_t end, uint32_t) {
-                    for (size_t i = begin; i < end; i++)
-                        raws[i] = table->lookupRaw(probe_lpas[i]);
-                });
-            for (size_t r = 0; r < window.size(); r++) {
-                const RawLookup *hints = hint_base[r] == kNoHints
-                                             ? nullptr
-                                             : raws.data() + hint_base[r];
-                processRequest(window[r], hints);
-            }
-        }
     }
     while (!inflight.empty())
         retireOne();

@@ -42,8 +42,6 @@
 namespace leaftl
 {
 
-class ShardPool;
-
 /** Replay options. */
 struct RunOptions
 {
@@ -78,24 +76,6 @@ struct RunOptions
      * control the offered load).
      */
     Admission admission = Admission::Closed;
-    /**
-     * Intra-run worker pool (not owned; nullptr = serial replay, the
-     * historical engine). With workers attached, the runner batches
-     * each window of requests, fans the read-translation probes out
-     * across the pool, and consumes them serially through the
-     * epoch-validated hint path -- results are identical to the serial
-     * engine bit for bit, for any worker count. The same pool should
-     * be attached to the device (Ssd::attachShardPool) so flush-time
-     * invalidation probes and per-group learns parallelize too.
-     */
-    ShardPool *pool = nullptr;
-    /**
-     * Requests per lookahead window (the conservative tick barrier
-     * quantum). 0 selects kDefaultBarrierQuantum. Results do not
-     * depend on the quantum (stale probes fall back to full lookups);
-     * it only trades batching efficiency against probe staleness.
-     */
-    uint32_t barrier_quantum = 0;
     /**
      * Crash-injection schedule (sorted ascending): before processing
      * request i, if i matches the next entry, the replay retires all

@@ -140,13 +140,8 @@ class Ssd : public FtlOps
     explicit Ssd(const SsdConfig &cfg);
     ~Ssd() override;
 
-    /**
-     * Host page read. @a hint, when non-null, is a raw learned-table
-     * probe of @a lpa computed earlier in the same quiescent window
-     * (see attachShardPool); results are identical with or without it.
-     * @return service latency.
-     */
-    Tick read(Lpa lpa, Tick now, const RawLookup *hint = nullptr);
+    /** Host page read. @return service latency. */
+    Tick read(Lpa lpa, Tick now);
 
     /** Host page write. @return service latency (buffer admission). */
     Tick write(Lpa lpa, Tick now);
@@ -161,17 +156,14 @@ class Ssd : public FtlOps
      * queue behind each other in the per-channel busy-until model.
      * read()/write() stay the synchronous depth-1 single-page API.
      * LPAs wrap modulo the host capacity.
-     * @a page_hints, when non-null, holds one raw learned-table probe
-     * per page of the request (reads consume them; writes ignore them).
      * @return Absolute completion tick (>= @a now).
      */
-    Tick submit(const IoRequest &req, Tick now,
-                const RawLookup *page_hints = nullptr);
+    Tick submit(const IoRequest &req, Tick now);
 
     /**
-     * Attach an intra-run worker pool: translation probes for buffer
-     * flushes batch across it, and the FTL fans learns/compactions out
-     * (LeaFTL only; a no-op attachment otherwise). nullptr detaches.
+     * Attach an intra-run worker pool: the FTL fans learns/compactions
+     * out across it (LeaFTL only; a no-op attachment otherwise).
+     * nullptr detaches.
      * The device's observable behavior is identical either way.
      */
     void attachShardPool(ShardPool *pool);
@@ -282,9 +274,7 @@ class Ssd : public FtlOps
     void flushBuffer(Tick now);
     /**
      * Invalidate the old flash locations of a drained write batch
-     * (keeping BVC/PVT exact). With a pool attached the translation
-     * probes run across the workers first -- the loop never mutates
-     * the mapping table, so every probe stays valid for the batch.
+     * (keeping BVC/PVT exact).
      */
     void invalidateOldLocations(const std::vector<Lpa> &lpas);
     /** Feed a programmed host batch to the FTL (honoring sort_flush). */
@@ -335,14 +325,11 @@ class Ssd : public FtlOps
     WriteBuffer buffer_;
     DataCache cache_;
     std::unique_ptr<Ftl> ftl_;
-    ShardPool *pool_ = nullptr; ///< Intra-run workers (not owned).
 
     SsdStats stats_;
 
     /** Scratch OOB window reused by resolveExact (hot path). */
     std::vector<Lpa> oob_scratch_;
-    /** Scratch raw-probe batch reused by invalidateOldLocations. */
-    std::vector<RawLookup> raw_scratch_;
     /** Scratch (LPA, PPA) run reused by programBatch (learn path). */
     std::vector<std::pair<Lpa, Ppa>> run_scratch_;
     /** Scratch survivor list reused by doGcPass/migrateBlock. */

@@ -151,6 +151,28 @@ TEST(SimCliParse, RejectsBadInput)
     }
 }
 
+TEST(SimCliParse, QuantumFlagAndKeyAreUnknown)
+{
+    // Neither the flag nor the key exists: both must fail loudly
+    // rather than be accepted and ignored.
+    SimOptions opts;
+    std::string err;
+    {
+        const std::string flag = std::string("--") + "quantum";
+        const char *argv[] = {"leaftl_sim", flag.c_str(), "16"};
+        EXPECT_FALSE(parseArgs(3, argv, opts, err));
+        EXPECT_NE(err.find("unknown argument '" + flag + "'"),
+                  std::string::npos)
+            << err;
+    }
+    {
+        const char *argv[] = {"leaftl_sim", "--set", "quantum=16"};
+        EXPECT_FALSE(parseArgs(3, argv, opts, err));
+        EXPECT_NE(err.find("unknown key 'quantum'"), std::string::npos)
+            << err;
+    }
+}
+
 TEST(SimCliWorkloads, ResolvesEveryKnownFamily)
 {
     SimOptions opts;
