@@ -14,6 +14,15 @@
  * frozen table so the timing loop measures translation alone -- not
  * key generation. Output is CSV (header + one row per combination)
  * on stdout; progress goes to stderr.
+ *
+ * A second CSV section, `merge`, times the per-group merge alone: the
+ * same learn+compact streams, pre-fitted, are replayed through Group
+ * and through the bitmap-based RefGroup it replaced
+ * (bench/learned_reference.hh, kept verbatim). Rows are
+ * merge,new|reference|speedup,stream,gamma,mappings,ns,rate, with the
+ * speedup row's rate column = reference_ns / new_ns. The bench exits 1
+ * if the two implementations' final groups differ in any byte of
+ * their canonical dump.
  */
 
 #include <algorithm>
@@ -24,6 +33,7 @@
 #include <vector>
 
 #include "learned/learned_table.hh"
+#include "learned_reference.hh"
 #include "util/host_clock.hh"
 #include "util/rng.hh"
 #include "workload/zipf.hh"
@@ -77,29 +87,22 @@ parseArgs(int argc, char **argv)
     return s;
 }
 
-struct LearnResult
-{
-    uint64_t ns;       ///< Wall time of the timed learn loop.
-    uint64_t mappings; ///< Mappings actually learned (post-dedup).
-};
+using Batch = std::vector<std::pair<Lpa, Ppa>>;
 
 /**
- * Learn ~s.mappings mappings into @a table. Zipfian batches are
- * deduplicated before learning (a write buffer holds one entry per
- * LPA), so the returned count is the real learned total, not the raw
- * draw count.
+ * Build the write-buffer-flush-shaped batches for ~s.mappings
+ * mappings. Zipfian batches are deduplicated (a write buffer holds one
+ * entry per LPA), so the batches' total is the real learned count,
+ * not the raw draw count.
  */
-LearnResult
-learnPhase(LearnedTable &table, const PerfScale &s, bool zipfian,
-           uint64_t seed)
+std::vector<Batch>
+buildBatches(const PerfScale &s, bool zipfian, uint64_t seed)
 {
     Rng rng(seed);
     ZipfGenerator zipf(s.span_pages, 0.99);
 
-    // Pre-build every batch so the timed region is learn() alone.
-    std::vector<std::vector<std::pair<Lpa, Ppa>>> batches;
+    std::vector<Batch> batches;
     uint64_t produced = 0;
-    uint64_t learned = 0;
     Lpa seq_next = 0;
     Ppa next_ppa = 0;
     std::vector<Lpa> keys;
@@ -119,22 +122,44 @@ learnPhase(LearnedTable &table, const PerfScale &s, bool zipfian,
             }
             std::sort(keys.begin(), keys.end());
         }
-        std::vector<std::pair<Lpa, Ppa>> batch;
+        Batch batch;
         batch.reserve(keys.size());
         for (Lpa lpa : keys)
             batch.emplace_back(lpa, next_ppa++);
         produced += want;
-        learned += batch.size();
         batches.push_back(std::move(batch));
     }
+    return batches;
+}
 
+uint64_t
+countMappings(const std::vector<Batch> &batches)
+{
+    uint64_t n = 0;
+    for (const Batch &b : batches)
+        n += b.size();
+    return n;
+}
+
+struct LearnResult
+{
+    uint64_t ns;       ///< Wall time of the timed learn loop.
+    uint64_t mappings; ///< Mappings actually learned (post-dedup).
+};
+
+/** Learn ~s.mappings mappings into @a table (batches pre-built). */
+LearnResult
+learnPhase(LearnedTable &table, const PerfScale &s, bool zipfian,
+           uint64_t seed)
+{
+    const std::vector<Batch> batches = buildBatches(s, zipfian, seed);
     HostTimer timer;
     for (size_t b = 0; b < batches.size(); b++) {
         table.learn(batches[b]);
         if ((b + 1) % s.compact_every == 0)
             table.compact();
     }
-    return {timer.elapsedNs(), learned};
+    return {timer.elapsedNs(), countMappings(batches)};
 }
 
 /** Time @a s.lookups lookups of a pre-generated key stream. */
@@ -171,6 +196,89 @@ perSecond(uint64_t ops, uint64_t ns)
 {
     return ns ? static_cast<double>(ops) * 1e9 / static_cast<double>(ns)
               : 0.0;
+}
+
+/** One learn() call's fitted segments, and whether compact() follows. */
+struct MergeStep
+{
+    std::vector<std::pair<uint32_t, std::vector<FittedSegment>>> fitted;
+    bool compact;
+};
+
+/**
+ * Replay @a steps into one group per group index, the way
+ * LearnedTable::learn/compact drive them, and time it. Fitting is
+ * done up front, so only update() and compact() are timed.
+ */
+template <typename G, typename Scratch>
+uint64_t
+replayMerge(std::vector<G> &groups, const std::vector<MergeStep> &steps)
+{
+    Scratch scratch;
+    std::vector<uint32_t> created;
+    std::vector<bool> seen(groups.size(), false);
+    HostTimer timer;
+    for (const MergeStep &step : steps) {
+        for (const auto &[idx, segs] : step.fitted) {
+            if (!seen[idx]) {
+                seen[idx] = true;
+                created.push_back(idx);
+            }
+            for (const FittedSegment &fs : segs)
+                groups[idx].update(fs, scratch);
+        }
+        if (step.compact) {
+            for (uint32_t idx : created)
+                groups[idx].compact(scratch);
+        }
+    }
+    return timer.elapsedNs();
+}
+
+/**
+ * The merge section: Group vs RefGroup on one (stream, gamma).
+ * @return false when the two implementations diverged.
+ */
+bool
+benchMerge(const PerfScale &s, bool zipfian, uint32_t gamma)
+{
+    const std::vector<Batch> batches =
+        buildBatches(s, zipfian, /*seed=*/42 + gamma);
+    std::vector<MergeStep> steps;
+    steps.reserve(batches.size());
+    for (size_t b = 0; b < batches.size(); b++)
+        steps.push_back({fitRun(batches[b], gamma),
+                         (b + 1) % s.compact_every == 0});
+
+    const size_t num_groups = (s.span_pages + kGroupSpan - 1) / kGroupSpan;
+    std::vector<Group> groups(num_groups);
+    std::vector<RefGroup> refs(num_groups);
+    const uint64_t new_ns = replayMerge<Group, MergeScratch>(groups, steps);
+    const uint64_t old_ns =
+        replayMerge<RefGroup, RefMergeScratch>(refs, steps);
+
+    for (size_t idx = 0; idx < num_groups; idx++) {
+        if (canonicalGroupDump(groups[idx]) != canonicalGroupDump(refs[idx])) {
+            std::fprintf(stderr,
+                         "perf_translation: merge diverged from the "
+                         "reference (%s, gamma %u, group %zu)\n",
+                         zipfian ? "zipf" : "seq", gamma, idx);
+            return false;
+        }
+    }
+
+    const uint64_t mappings = countMappings(batches);
+    const char *stream = zipfian ? "zipf" : "seq";
+    std::printf("merge,new,%s,%u,%" PRIu64 ",%" PRIu64 ",%.0f\n", stream,
+                gamma, mappings, new_ns, perSecond(mappings, new_ns));
+    std::printf("merge,reference,%s,%u,%" PRIu64 ",%" PRIu64 ",%.0f\n",
+                stream, gamma, mappings, old_ns,
+                perSecond(mappings, old_ns));
+    std::printf("merge,speedup,%s,%u,%" PRIu64 ",0,%.2f\n", stream, gamma,
+                mappings,
+                static_cast<double>(old_ns) / static_cast<double>(new_ns));
+    std::fflush(stdout);
+    return true;
 }
 
 } // namespace
@@ -214,6 +322,15 @@ main(int argc, char **argv)
                         lookup_ns, perSecond(s.lookups, lookup_ns),
                         avg_levels, hit_ratio, table.memoryBytes());
             std::fflush(stdout);
+        }
+    }
+
+    std::fprintf(stderr, "perf_translation: merge vs reference...\n");
+    std::printf("section,impl,stream,gamma,mappings,ns,rate\n");
+    for (const bool zipfian : {false, true}) {
+        for (const uint32_t gamma : {0u, 4u, 16u}) {
+            if (!benchMerge(s, zipfian, gamma))
+                return 1;
         }
     }
     return 0;

@@ -7,11 +7,10 @@ namespace leaftl
 
 namespace
 {
-const std::vector<uint8_t> kEmptyRun;
+const GroupMask kEmptyRun;
 
 bool
-runIdLess(const std::pair<Crb::SegId, std::vector<uint8_t>> &run,
-          Crb::SegId id)
+runIdLess(const std::pair<Crb::SegId, GroupMask> &run, Crb::SegId id)
 {
     return run.first < id;
 }
@@ -50,17 +49,19 @@ Crb::insertRun(SegId id, const std::vector<uint8_t> &offs,
     for (size_t i = 1; i < offs.size(); i++)
         LEAFTL_ASSERT(offs[i] > offs[i - 1], "CRB run must be sorted");
 
-    // Deduplicate: steal ownership from older runs.
+    // Deduplicate: steal ownership from older runs, in offset order so
+    // emptied runs are reported in the order they lose their last one.
+    GroupMask mask;
     for (uint8_t off : offs) {
+        mask.set(off);
         const SegId old = owner_[off];
         if (old == kNoSeg || old == id)
             continue;
         auto it = findRun(old);
         LEAFTL_ASSERT(it != runs_.end(), "CRB owner index out of sync");
-        auto &vec = it->second;
-        vec.erase(std::remove(vec.begin(), vec.end(), off), vec.end());
+        it->second.clear(off);
         stored_offs_--; // Offsets are unique per run: exactly one gone.
-        if (vec.empty()) {
+        if (it->second.none()) {
             runs_.erase(it);
             emptied.push_back(old);
         }
@@ -68,7 +69,7 @@ Crb::insertRun(SegId id, const std::vector<uint8_t> &offs,
 
     runs_.insert(
         std::lower_bound(runs_.begin(), runs_.end(), id, runIdLess),
-        Run{id, offs});
+        Run{id, mask});
     stored_offs_ += offs.size();
     for (uint8_t off : offs)
         owner_[off] = id;
@@ -81,20 +82,18 @@ Crb::contains(SegId id, uint8_t off) const
 }
 
 bool
-Crb::removeOffsets(SegId id, const std::vector<uint8_t> &offs)
+Crb::removeOffsets(SegId id, const GroupMask &offs)
 {
     auto it = findRun(id);
     if (it == runs_.end())
         return true;
-    auto &vec = it->second;
-    for (uint8_t off : offs) {
-        if (owner_[off] != id)
-            continue;
-        vec.erase(std::remove(vec.begin(), vec.end(), off), vec.end());
-        stored_offs_--;
-        owner_[off] = kNoSeg;
-    }
-    if (vec.empty()) {
+    // A run's members are exactly the offsets it owns, so the owned
+    // subset of @a offs is the intersection with the run.
+    const GroupMask gone = it->second & offs;
+    gone.forEach([&](uint8_t off) { owner_[off] = kNoSeg; });
+    stored_offs_ -= gone.count();
+    it->second.subtract(gone);
+    if (it->second.none()) {
         runs_.erase(it);
         return true;
     }
@@ -102,18 +101,18 @@ Crb::removeOffsets(SegId id, const std::vector<uint8_t> &offs)
 }
 
 void
-Crb::restoreRun(SegId id, const std::vector<uint8_t> &offs)
+Crb::restoreRun(SegId id, const GroupMask &offs)
 {
     LEAFTL_ASSERT(findRun(id) == runs_.end(), "CRB id reused");
     runs_.insert(
         std::lower_bound(runs_.begin(), runs_.end(), id, runIdLess),
         Run{id, offs});
-    stored_offs_ += offs.size();
-    for (uint8_t off : offs) {
+    stored_offs_ += offs.count();
+    offs.forEach([&](uint8_t off) {
         LEAFTL_ASSERT(owner_[off] == kNoSeg,
                       "restored CRB runs must be disjoint");
         owner_[off] = id;
-    }
+    });
 }
 
 void
@@ -122,15 +121,15 @@ Crb::removeRun(SegId id)
     auto it = findRun(id);
     if (it == runs_.end())
         return;
-    for (uint8_t off : it->second) {
+    it->second.forEach([&](uint8_t off) {
         if (owner_[off] == id)
             owner_[off] = kNoSeg;
-    }
-    stored_offs_ -= it->second.size();
+    });
+    stored_offs_ -= it->second.count();
     runs_.erase(it);
 }
 
-const std::vector<uint8_t> &
+const GroupMask &
 Crb::run(SegId id) const
 {
     auto it = findRun(id);
@@ -140,17 +139,25 @@ Crb::run(SegId id) const
 uint8_t
 Crb::head(SegId id) const
 {
-    const auto &r = run(id);
-    return r.empty() ? 0 : r.front();
+    const GroupMask &r = run(id);
+    return r.none() ? 0 : r.first();
 }
 
 void
 Crb::checkAccounting() const
 {
     size_t offs = 0;
-    for (const auto &[id, vec] : runs_)
-        offs += vec.size();
+    for (const auto &[id, mask] : runs_) {
+        offs += mask.count();
+        mask.forEach([&, id = id](uint8_t off) {
+            LEAFTL_ASSERT(owner_[off] == id, "CRB owner index out of sync");
+        });
+    }
     LEAFTL_ASSERT(offs == stored_offs_, "CRB size accounting out of sync");
+    const size_t owned = static_cast<size_t>(std::count_if(
+        std::begin(owner_), std::end(owner_),
+        [](SegId o) { return o != kNoSeg; }));
+    LEAFTL_ASSERT(owned == stored_offs_, "CRB owner index out of sync");
 }
 
 } // namespace leaftl

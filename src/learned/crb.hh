@@ -4,14 +4,20 @@
  *
  * Approximate segments are learned from irregular LPA patterns, so
  * their member LPAs cannot be recomputed from (S, L, K, I). Each group
- * keeps one CRB that stores, per approximate segment, the exact list
+ * keeps one CRB that stores, per approximate segment, the exact set
  * of member offsets. The paper lays the CRB out as a nearly-sorted
  * byte array with null separators and identifies a run by its first
  * LPA; this implementation keys runs by a per-group segment id instead
  * (which removes the fragile "bump the old segment's S when starting
- * LPAs collide" dance while preserving the exact same semantics), and
- * charges memory the way the paper does: one byte per stored offset
- * plus one separator byte per run.
+ * LPAs collide" dance while preserving the exact same semantics).
+ *
+ * In memory each run is a 256-bit GroupMask: a run's offsets are
+ * sorted and unique, so ascending mask order is the paper's run order,
+ * deduplication and trimming are bit clears, and the merge reads a
+ * victim's members without rebuilding them. Memory is still charged
+ * the way the paper lays the CRB out -- one byte per stored offset
+ * plus one separator byte per run -- and serialization emits those
+ * bytes.
  *
  * Invariants mirror the paper's:
  *   - offsets inside one run are sorted and unique;
@@ -26,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "learned/group_mask.hh"
 #include "util/common.hh"
 
 namespace leaftl
@@ -62,9 +69,10 @@ class Crb
 
     /**
      * Remove specific offsets from segment @a id's run (merge
-     * trimming). @return true if the run became empty (and was erased).
+     * trimming); offsets the run does not own are ignored.
+     * @return true if the run became empty (and was erased).
      */
-    bool removeOffsets(SegId id, const std::vector<uint8_t> &offs);
+    bool removeOffsets(SegId id, const GroupMask &offs);
 
     /** Drop a whole run (segment removed). */
     void removeRun(SegId id);
@@ -73,10 +81,10 @@ class Crb
      * Recovery path: re-attach a run without deduplication (the
      * serialized state is already deduplicated).
      */
-    void restoreRun(SegId id, const std::vector<uint8_t> &offs);
+    void restoreRun(SegId id, const GroupMask &offs);
 
     /** Current member offsets of a run (empty if unknown). */
-    const std::vector<uint8_t> &run(SegId id) const;
+    const GroupMask &run(SegId id) const;
 
     /** First (smallest) member offset of a run; 0 if unknown. */
     uint8_t head(SegId id) const;
@@ -92,11 +100,15 @@ class Crb
      */
     size_t sizeBytes() const { return stored_offs_ + runs_.size(); }
 
-    /** Verify the incremental accounting against a full walk (tests). */
+    /**
+     * Verify the incremental accounting against a full walk: the run
+     * masks' popcounts sum to the stored-offset count, and the owner
+     * index names exactly the runs' members (tests).
+     */
     void checkAccounting() const;
 
   private:
-    using Run = std::pair<SegId, std::vector<uint8_t>>;
+    using Run = std::pair<SegId, GroupMask>;
 
     /** Iterator to the run with @a id, or end() if absent. */
     std::vector<Run>::iterator findRun(SegId id);
@@ -104,10 +116,9 @@ class Crb
 
     /**
      * Live runs, sorted by segment id. A group holds few runs at a
-     * time, so a flat sorted vector beats the node-per-run std::map
-     * it replaced: lookups (72M+ `run()` calls on a GC-heavy sweep)
-     * are a cache-friendly binary search and erase/insert shifts are
-     * cheap vector-of-vector moves.
+     * time, so a flat sorted vector of inline masks is one
+     * cache-friendly binary search per lookup and needs no heap
+     * allocation per run.
      */
     std::vector<Run> runs_;
     /** Reverse index: offset -> owning approximate segment. */

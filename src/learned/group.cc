@@ -27,6 +27,20 @@ findCovering(const std::vector<SegEntry> &segs, uint8_t off)
     return -1;
 }
 
+/**
+ * Index of the first segment whose range ends at or after @a off: the
+ * start of the window of segments a range beginning at @a off can
+ * overlap (a level's ends ascend with its starts).
+ */
+size_t
+firstEndingAtOrAfter(const std::vector<SegEntry> &segs, uint8_t off)
+{
+    const auto it = std::lower_bound(
+        segs.begin(), segs.end(), off,
+        [](const SegEntry &e, uint8_t o) { return e.seg.endOff() < o; });
+    return static_cast<size_t>(it - segs.begin());
+}
+
 } // namespace
 
 bool
@@ -39,25 +53,13 @@ Group::hasLpa(const SegEntry &e, uint8_t off) const
     return e.seg.hasLpaAccurate(off);
 }
 
-void
-Group::segmentBits(const SegEntry &e, uint8_t start, uint8_t end,
-                   Bitmap &bm) const
+GroupMask
+Group::segmentMask(const SegEntry &e) const
 {
-    bm.resize(static_cast<uint32_t>(end - start) + 1);
-    if (e.seg.approximate()) {
-        for (uint8_t off : crb_.run(e.id)) {
-            if (off >= start && off <= end)
-                bm.set(off - start);
-        }
-    } else {
-        const uint32_t d = e.seg.singlePoint() ? 1 : e.seg.stride();
-        for (uint32_t off = e.seg.slpa(); off <= e.seg.endOff(); off += d) {
-            if (off >= start && off <= end)
-                bm.set(off - start);
-            if (e.seg.singlePoint())
-                break;
-        }
-    }
+    if (e.seg.approximate())
+        return crb_.run(e.id);
+    const uint32_t d = e.seg.singlePoint() ? 1 : e.seg.stride();
+    return GroupMask::strided(e.seg.slpa(), e.seg.endOff(), d);
 }
 
 void
@@ -79,37 +81,30 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
     Level &level = levels_[level_idx];
     scratch.conflicts.clear();
 
-    // Locate the window of victims whose ranges intersect the entry.
-    size_t i = 0;
-    while (i < level.segs.size()) {
+    // Algorithm 2 over the window of victims whose ranges intersect
+    // the entry: ends ascend with starts in a level, so the window
+    // opens at the first end >= S and closes at the first start > S+L.
+    const auto in_window = [&](size_t j) {
+        return j < level.segs.size() &&
+               level.segs[j].seg.slpa() <= entry.seg.endOff();
+    };
+    size_t i = firstEndingAtOrAfter(level.segs, entry.seg.slpa());
+    if (!in_window(i))
+        return; // No victims (most compaction probes).
+    // The entry's members do not change while its victims are merged.
+    const GroupMask entry_bits = segmentMask(entry);
+    while (in_window(i)) {
         SegEntry &victim = level.segs[i];
-        if (!entry.seg.overlaps(victim.seg)) {
-            i++;
-            continue;
-        }
 
-        // Algorithm 2: reconstruct both into bitmaps over the union
-        // range, subtract the new segment's members from the victim.
-        const uint8_t start =
-            std::min(entry.seg.slpa(), victim.seg.slpa());
-        const uint8_t end =
-            std::max(entry.seg.endOff(), victim.seg.endOff());
-        segmentBits(entry, start, end, scratch.bm_new);
-        segmentBits(victim, start, end, scratch.bm_old);
-        Bitmap &bm_new = scratch.bm_new;
-        Bitmap &bm_old = scratch.bm_old;
-
-        // For approximate victims the CRB insert already stole the
+        // Subtract the new segment's members from the victim. For
+        // approximate victims the CRB insert already stole the
         // overwritten offsets, so the subtraction is mostly a no-op
         // there; accurate victims are trimmed here.
-        scratch.stolen.clear();
-        for (uint32_t b = 0; b < bm_old.size(); b++) {
-            if (bm_old.test(b) && bm_new.test(b))
-                scratch.stolen.push_back(static_cast<uint8_t>(start + b));
-        }
-        bm_old.subtract(bm_new);
+        GroupMask remaining = segmentMask(victim);
+        const GroupMask stolen = remaining & entry_bits;
+        remaining.subtract(entry_bits);
 
-        if (bm_old.none()) {
+        if (remaining.none()) {
             // Victim fully superseded: remove it (Algorithm 1 l.11-12).
             if (victim.seg.approximate())
                 crb_.removeRun(victim.id);
@@ -119,11 +114,9 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
         }
 
         // Trim the victim's range; K and I are never touched.
-        const uint8_t first = static_cast<uint8_t>(start + bm_old.firstSet());
-        const uint8_t last = static_cast<uint8_t>(start + bm_old.lastSet());
-        victim.seg.trim(first, last);
-        if (victim.seg.approximate() && !scratch.stolen.empty())
-            crb_.removeOffsets(victim.id, scratch.stolen);
+        victim.seg.trim(remaining.first(), remaining.last());
+        if (victim.seg.approximate() && !stolen.none())
+            crb_.removeOffsets(victim.id, stolen);
 
         if (entry.seg.overlaps(victim.seg)) {
             // Range still interleaves: the victim cannot share a sorted
@@ -150,20 +143,16 @@ Group::pushVictimDown(size_t from_level, const SegEntry &victim)
     }
     // If the next level has no range conflict with the victim, it can
     // join that sorted run; otherwise it gets a dedicated level to
-    // avoid recursive pops (and to preserve recency ordering).
-    bool conflict = false;
-    for (const SegEntry &e : levels_[below].segs) {
-        if (e.seg.overlaps(victim.seg)) {
-            conflict = true;
-            break;
-        }
-    }
-    if (conflict) {
+    // avoid recursive pops (and to preserve recency ordering). Ends
+    // ascend, so the first segment ending at or after the victim's
+    // start is the only candidate that decides whether any overlaps.
+    const Level &next = levels_[below];
+    const size_t at = firstEndingAtOrAfter(next.segs, victim.seg.slpa());
+    const bool conflict = at < next.segs.size() &&
+                          next.segs[at].seg.slpa() <= victim.seg.endOff();
+    if (conflict)
         levels_.insert(levels_.begin() + below, Level{});
-        insertSorted(levels_[below], victim);
-    } else {
-        insertSorted(levels_[below], victim);
-    }
+    insertSorted(levels_[below], victim);
 }
 
 void
@@ -299,8 +288,7 @@ Group::dropEmptyLevels()
 }
 
 void
-Group::restoreRaw(size_t level, const Segment &seg,
-                  const std::vector<uint8_t> &run)
+Group::restoreRaw(size_t level, const Segment &seg, const GroupMask &run)
 {
     while (levels_.size() <= level)
         levels_.emplace_back();
@@ -330,10 +318,10 @@ Group::checkInvariants() const
                               "level segments overlap or unsorted");
             }
             if (e.seg.approximate()) {
-                const auto &run = crb_.run(e.id);
-                LEAFTL_ASSERT(!run.empty(), "approx segment without CRB run");
-                LEAFTL_ASSERT(run.front() >= e.seg.slpa() &&
-                                  run.back() <= e.seg.endOff(),
+                const GroupMask &run = crb_.run(e.id);
+                LEAFTL_ASSERT(!run.none(), "approx segment without CRB run");
+                LEAFTL_ASSERT(run.first() >= e.seg.slpa() &&
+                                  run.last() <= e.seg.endOff(),
                               "CRB run outside segment range");
             }
         }

@@ -9,11 +9,15 @@
  * levels, ranges may overlap and the topmost hit wins (newest mapping).
  *
  * Inserting a new segment merges it against overlapping victims
- * (Algorithm 2): victims are reconstructed into bitmaps, the new
- * segment's members are subtracted, and the victims are trimmed,
- * dropped when empty, or popped to the next level when their range
- * still interleaves with the new segment (with a dedicated level
- * created when the next level also conflicts, avoiding recursion).
+ * (Algorithm 2): both sides' members are 256-bit GroupMasks (stride
+ * arithmetic for accurate segments, the CRB run for approximate ones),
+ * the new segment's members are subtracted word-wise, and the victims
+ * are trimmed, dropped when empty, or popped to the next level when
+ * their range still interleaves with the new segment (with a
+ * dedicated level created when the next level also conflicts,
+ * avoiding recursion). Because a level's ranges are sorted and
+ * disjoint, their ends ascend too, so the victims of a range form one
+ * window found by binary search.
  *
  * Compaction (seg_compact) sinks segments into lower levels when no
  * range conflict remains, reclaiming dead segments and empty levels.
@@ -21,8 +25,8 @@
  * separate levels (they cannot share a sorted run).
  *
  * Hot-path design: the merge machinery works out of a caller-provided
- * MergeScratch (bitmaps and victim vectors reused across learns, so
- * the steady-state learn path performs no heap allocation), segment /
+ * MergeScratch (victim vectors reused across learns, so the
+ * steady-state learn path performs no heap allocation), segment /
  * approximate counts are maintained incrementally (numSegments(),
  * numApproximate() and memoryBytes() are O(1) reads), and segment
  * visitation is a template so reporting loops pay no std::function
@@ -36,9 +40,9 @@
 #include <vector>
 
 #include "learned/crb.hh"
+#include "learned/group_mask.hh"
 #include "learned/plr.hh"
 #include "learned/segment.hh"
-#include "util/bitmap.hh"
 #include "util/common.hh"
 
 namespace leaftl
@@ -62,14 +66,12 @@ struct SegEntry
 /**
  * Reusable scratch state for the segment-merge procedure: one arena
  * per table (or per call site) keeps the learn path allocation-free
- * in steady state -- every buffer is cleared, never shrunk, between
- * merges.
+ * in steady state -- both vectors are cleared, never shrunk, between
+ * merges. Member sets are fixed-size GroupMasks on the stack and need
+ * no arena.
  */
 struct MergeScratch
 {
-    Bitmap bm_new;                    ///< New segment's members.
-    Bitmap bm_old;                    ///< Victim's members.
-    std::vector<uint8_t> stolen;      ///< Offsets taken from a victim.
     std::vector<SegEntry> conflicts;  ///< Range-conflicting survivors.
     std::vector<Crb::SegId> emptied;  ///< Runs emptied by CRB dedup.
 };
@@ -111,6 +113,13 @@ class Group
      * remembered level-0 entry without a level scan.
      */
     bool hasLpa(const SegEntry &e, uint8_t off) const;
+
+    /**
+     * Every member of @a e as a mask: the stride grid over [S, S+L]
+     * for accurate segments, the CRB run for approximate ones. Agrees
+     * with hasLpa() on all 256 offsets.
+     */
+    GroupMask segmentMask(const SegEntry &e) const;
 
     /** Compact levels (Algorithm 1, seg_compact). */
     void compact(MergeScratch &scratch);
@@ -156,18 +165,13 @@ class Group
      * invariants). @a run holds the CRB offsets for approximate
      * segments (ignored otherwise).
      */
-    void restoreRaw(size_t level, const Segment &seg,
-                    const std::vector<uint8_t> &run);
+    void restoreRaw(size_t level, const Segment &seg, const GroupMask &run);
 
   private:
     struct Level
     {
         std::vector<SegEntry> segs; ///< Sorted by S, non-overlapping.
     };
-
-    /** Reconstruct a segment's members over [start, end] into @a bm. */
-    void segmentBits(const SegEntry &e, uint8_t start, uint8_t end,
-                     Bitmap &bm) const;
 
     /**
      * Merge @a entry against overlapping victims of @a level_idx and

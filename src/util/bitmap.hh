@@ -1,8 +1,9 @@
 /**
  * @file
- * Compact dynamic bitmap used by the page validity table (PVT) and by
- * the segment-merge procedure (Algorithm 2 reconstructs segments into
- * temporary bitmaps before subtracting overlaps).
+ * Compact dynamic bitmap backing the page validity table (PVT). The
+ * learned merge (Algorithm 2) runs on fixed 256-bit GroupMasks
+ * instead; only its verbatim pre-mask reference
+ * (bench/learned_reference.hh) still rebuilds segments into Bitmaps.
  */
 
 #pragma once

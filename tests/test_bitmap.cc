@@ -1,6 +1,8 @@
 /**
  * @file
- * Unit tests for the Bitmap used by the PVT and segment merging.
+ * Unit tests for the Bitmap behind the page validity table (PVT) and
+ * the pre-mask merge reference (bench/learned_reference.hh); the
+ * learned merge itself uses GroupMask (tests/test_group_mask.cc).
  */
 
 #include <gtest/gtest.h>

@@ -52,7 +52,7 @@ TEST(Crb, DeduplicationStealsOwnership)
     EXPECT_TRUE(emptied.empty());
     EXPECT_EQ(crb.owner(20), 2u);
     EXPECT_FALSE(crb.contains(1, 20));
-    EXPECT_EQ(crb.run(1).size(), 2u);
+    EXPECT_EQ(crb.run(1).count(), 2u);
     EXPECT_EQ(crb.head(1), 10u);
 }
 
@@ -77,7 +77,7 @@ TEST(Crb, FullOverlapEmptiesOldRun)
     ASSERT_EQ(emptied.size(), 1u);
     EXPECT_EQ(emptied[0], 1u);
     EXPECT_EQ(crb.numRuns(), 1u);
-    EXPECT_TRUE(crb.run(1).empty());
+    EXPECT_TRUE(crb.run(1).none());
 }
 
 TEST(Crb, RemoveOffsetsTrimsAndReportsEmpty)

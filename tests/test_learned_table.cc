@@ -329,11 +329,10 @@ class MapTableRef
                 put<uint16_t>(blob, e.seg.kbits());
                 put<int32_t>(blob, e.seg.intercept());
                 if (e.seg.approximate()) {
-                    const auto &run = group.crb().run(e.id);
+                    const GroupMask &run = group.crb().run(e.id);
                     put<uint16_t>(blob,
-                                  static_cast<uint16_t>(run.size()));
-                    for (uint8_t off : run)
-                        put<uint8_t>(blob, off);
+                                  static_cast<uint16_t>(run.count()));
+                    run.forEach([&](uint8_t off) { put<uint8_t>(blob, off); });
                 }
             });
         }
