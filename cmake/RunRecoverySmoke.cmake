@@ -1,8 +1,8 @@
 # End-to-end smoke for the durability pipeline: a tiny sweep with the
 # incremental snapshot + journal knobs and three mid-run crash points
-# must (a) survive, (b) be bit-identical across two invocations and
-# across --threads 1 vs --threads 4 (modulo wall_ns), and (c) actually
-# exercise the pipeline -- the recovery CSV columns must be nonzero.
+# must (a) survive, (b) be bit-identical across two invocations
+# (modulo wall_ns), and (c) actually exercise the pipeline -- the
+# recovery CSV columns must be nonzero.
 # Invoked by CTest with -DSIM_BIN=<path to leaftl_sim>.
 
 if(NOT SIM_BIN)
@@ -23,13 +23,9 @@ set(common_flags
     --snapshot-interval 8192
     --crash-at 500,2000,5000)
 
-foreach(run IN ITEMS run rerun threads4)
-    set(extra_flags "")
-    if(run STREQUAL "threads4")
-        set(extra_flags --threads 4)
-    endif()
+foreach(run IN ITEMS run rerun)
     execute_process(
-        COMMAND ${SIM_BIN} ${common_flags} ${extra_flags}
+        COMMAND ${SIM_BIN} ${common_flags}
         OUTPUT_VARIABLE sim_out
         ERROR_VARIABLE sim_err
         RESULT_VARIABLE sim_rc)
@@ -47,12 +43,6 @@ if(NOT csv_rerun STREQUAL csv_run)
     message(FATAL_ERROR
         "crash-at sweep is not deterministic across reruns:\n"
         "=== first ===\n${csv_run}\n=== second ===\n${csv_rerun}")
-endif()
-if(NOT csv_threads4 STREQUAL csv_run)
-    message(FATAL_ERROR
-        "--threads 4 diverges from --threads 1 under crash injection "
-        "(modulo wall_ns):\n"
-        "=== threads 1 ===\n${csv_run}\n=== threads 4 ===\n${csv_threads4}")
 endif()
 
 # One leaftl row: header + data. The recovery group sits before the
@@ -93,4 +83,4 @@ endif()
 message(STATUS
     "leaftl_sim recovery smoke OK (3 crashes, ${recov_records} journal "
     "records replayed, ${recov_pages} pages scanned, ${recov_ms} ms, "
-    "deterministic across rerun and --threads 4)")
+    "deterministic across rerun)")

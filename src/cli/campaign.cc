@@ -13,7 +13,6 @@
 
 #include "cli/sim_cli.hh"
 #include "sim/runner.hh"
-#include "sim/shard_runner.hh"
 #include "ssd/ssd.hh"
 #include "util/host_clock.hh"
 #include "workload/arrival.hh"
@@ -275,7 +274,6 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
             }
             const SsdConfig cfg =
                 makeConfig(p.ftl, p.gamma, spec, p.device);
-            std::unique_ptr<ShardPool> run_pool;
             Ssd ssd(cfg);
             RunOptions ropts;
             ropts.prefill_pages = static_cast<uint64_t>(
@@ -283,10 +281,6 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
             ropts.mixed_prefill = true;
             ropts.queue_depth = p.qd;
             ropts.crash_points = spec.crash_points;
-            if (spec.threads > 1) {
-                run_pool = std::make_unique<ShardPool>(spec.threads);
-                ssd.attachShardPool(run_pool.get());
-            }
             ShaperSpec shaper;
             shaper.rate_iops = p.rate;
             shaper.seed = spec.seed;
@@ -336,16 +330,7 @@ runCampaign(const config::CampaignSpec &campaign, std::ostream &log)
         }
     };
 
-    // Cap campaign fan-out so jobs x intra-run threads never silently
-    // oversubscribes the machine.
-    std::string jobs_warning;
-    unsigned jobs = clampSweepJobs(
-        spec.jobs, spec.threads,
-        std::max(1u, std::thread::hardware_concurrency()), &jobs_warning);
-    if (!jobs_warning.empty())
-        std::cerr << "leaftl_sim: " << jobs_warning << '\n';
-    jobs = static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(1, pending.size())));
+    const unsigned jobs = sweepWorkers(spec.jobs, pending.size());
     std::vector<std::thread> pool;
     pool.reserve(jobs);
     for (unsigned i = 0; i < jobs; i++)

@@ -39,7 +39,7 @@ expandCampaignGrid(const config::ExperimentSpec &spec);
 
 /**
  * Run @a campaign: execute the missing fingerprints on
- * campaign.exp.jobs worker threads, then write
+ * sweepWorkers(campaign.exp.jobs) worker threads, then write
  * <dir>/BENCH_<name>.json. @a log gets the human progress/summary
  * lines.
  * @return process exit code (0 = every run present and summarized).

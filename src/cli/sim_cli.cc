@@ -14,7 +14,6 @@
 #include "cli/campaign.hh"
 #include "flash/presets.hh"
 #include "sim/runner.hh"
-#include "sim/shard_runner.hh"
 #include "util/host_clock.hh"
 #include "util/parse.hh"
 #include "ssd/ssd.hh"
@@ -174,12 +173,7 @@ usage()
         << "                   skipping them\n"
         << "  --jobs N         sweep worker threads (default: hardware\n"
         << "                   concurrency; rows stay in sweep order;\n"
-        << "                   capped so jobs x threads fits the host)\n"
-        << "  --threads N      intra-run workers per run: LeaFTL fans\n"
-        << "                   its per-group learns and compactions\n"
-        << "                   out across them (default 1; results are\n"
-        << "                   bit-identical for any value -- wall\n"
-        << "                   clock only)\n"
+        << "                   each run is single-threaded)\n"
         << "  --campaign-diff A B  compare two BENCH_<name>.json\n"
         << "                   summaries by run fingerprint and print\n"
         << "                   per-run throughput/p99 deltas\n"
@@ -266,7 +260,6 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
         {"--rate", "rate"},
         {"--burst-duty", "burst-duty"},
         {"--jobs", "jobs"},
-        {"--threads", "threads"},
         {"--requests", "requests"},
         {"--ws", "ws"},
         {"--dram-mb", "dram-mb"},
@@ -500,6 +493,15 @@ makeConfig(FtlKind ftl, uint32_t gamma, const config::ExperimentSpec &opts,
     return cfg;
 }
 
+unsigned
+sweepWorkers(unsigned jobs, size_t tasks)
+{
+    if (jobs == 0)
+        jobs = std::thread::hardware_concurrency();
+    return static_cast<unsigned>(
+        std::max<size_t>(1, std::min<size_t>(jobs, tasks)));
+}
+
 std::string
 csvHeader()
 {
@@ -696,7 +698,6 @@ runSweep(const config::ExperimentSpec &opts, std::ostream &out)
                 std::string err;
                 auto wl = makeWorkload(t.spec, opts, err, &trace_cache);
                 if (wl) {
-                    std::unique_ptr<ShardPool> run_pool;
                     Ssd ssd(makeConfig(t.ftl, t.gamma, opts, t.device));
                     RunOptions ropts;
                     ropts.prefill_pages = static_cast<uint64_t>(
@@ -704,11 +705,6 @@ runSweep(const config::ExperimentSpec &opts, std::ostream &out)
                     ropts.mixed_prefill = true;
                     ropts.queue_depth = t.qd;
                     ropts.crash_points = opts.crash_points;
-                    if (opts.threads > 1) {
-                        run_pool =
-                            std::make_unique<ShardPool>(opts.threads);
-                        ssd.attachShardPool(run_pool.get());
-                    }
                     wl = applyMode(std::move(wl), t.mode, t.rate, opts,
                                    ropts);
                     HostTimer timer;
@@ -729,16 +725,7 @@ runSweep(const config::ExperimentSpec &opts, std::ostream &out)
         }
     };
 
-    // Cap sweep fan-out so jobs x intra-run threads never silently
-    // oversubscribes the machine.
-    std::string jobs_warning;
-    unsigned jobs = clampSweepJobs(
-        opts.jobs, opts.threads,
-        std::max(1u, std::thread::hardware_concurrency()), &jobs_warning);
-    if (!jobs_warning.empty())
-        std::cerr << "leaftl_sim: " << jobs_warning << '\n';
-    jobs = static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(1, tasks.size())));
+    const unsigned jobs = sweepWorkers(opts.jobs, tasks.size());
     std::vector<std::thread> pool;
     pool.reserve(jobs);
     for (unsigned i = 0; i < jobs; i++)

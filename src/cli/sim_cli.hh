@@ -145,9 +145,17 @@ std::string csvRow(const RunResult &res, FtlKind ftl, uint32_t gamma,
                    const SsdConfig &cfg, const std::string &device = "auto");
 
 /**
- * Run the whole sweep on opts.jobs worker threads and write the CSV
- * to @a out (header first, then one row per combination, in
- * combination order regardless of job count).
+ * Worker threads for @a tasks independent runs under --jobs
+ * @a jobs: 0 means hardware concurrency; either way the count is
+ * capped at the task count (and is at least 1). Each run is
+ * single-threaded, so this is the only parallelism.
+ */
+unsigned sweepWorkers(unsigned jobs, size_t tasks);
+
+/**
+ * Run the whole sweep on sweepWorkers(opts.jobs) worker threads and
+ * write the CSV to @a out (header first, then one row per
+ * combination, in combination order regardless of job count).
  * @return process exit code (0 = every combination ran).
  */
 int runSweep(const config::ExperimentSpec &opts, std::ostream &out);

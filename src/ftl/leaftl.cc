@@ -82,13 +82,6 @@ LeaFtl::translate(Lpa lpa)
 }
 
 void
-LeaFtl::setShardPool(ShardPool *pool)
-{
-    pool_ = pool;
-    table_->setShardPool(pool);
-}
-
-void
 LeaFtl::trim(Lpa lpa)
 {
     if (!table_->lookup(lpa))
@@ -171,7 +164,6 @@ LeaFtl::restoreChain(const std::vector<uint8_t> &base,
         const bool ok = table->applyDelta(delta);
         LEAFTL_ASSERT(ok, "corrupt snapshot delta");
     }
-    table->setShardPool(pool_); // The new table inherits the workers.
     table_ = std::move(table);
     // DRAM residency is gone after a crash; groups reload on demand.
     lru_.clear();

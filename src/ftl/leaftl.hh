@@ -35,7 +35,6 @@ class LeaFtl : public Ftl
     LeaFtl(FtlOps &ops, uint32_t gamma, uint32_t page_size);
 
     TranslateResult translate(Lpa lpa) override;
-    void setShardPool(ShardPool *pool) override;
     void trim(Lpa lpa) override;
     void recordMappings(const std::vector<std::pair<Lpa, Ppa>> &run) override;
     void
@@ -84,7 +83,6 @@ class LeaFtl : public Ftl
 
     std::unique_ptr<LearnedTable> table_;
     uint32_t page_size_;
-    ShardPool *pool_ = nullptr; ///< Intra-run workers (not owned).
 
     // §3.8 demand caching of segment groups (GMD + translation blocks).
     struct Residency

@@ -245,12 +245,6 @@ Ssd::submit(const IoRequest &req, Tick now)
     return done;
 }
 
-void
-Ssd::attachShardPool(ShardPool *pool)
-{
-    ftl_->setShardPool(pool);
-}
-
 Tick
 Ssd::trim(Lpa lpa, Tick now)
 {

@@ -161,14 +161,6 @@ class Ssd : public FtlOps
     Tick submit(const IoRequest &req, Tick now);
 
     /**
-     * Attach an intra-run worker pool: the FTL fans learns/compactions
-     * out across it (LeaFTL only; a no-op attachment otherwise).
-     * nullptr detaches.
-     * The device's observable behavior is identical either way.
-     */
-    void attachShardPool(ShardPool *pool);
-
-    /**
      * TRIM/deallocate a page: invalidates the backing flash page (so
      * GC can reclaim it without migration) and unmaps the LPA.
      * @return service latency.

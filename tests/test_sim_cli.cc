@@ -153,23 +153,27 @@ TEST(SimCliParse, RejectsBadInput)
 
 TEST(SimCliParse, QuantumFlagAndKeyAreUnknown)
 {
-    // Neither the flag nor the key exists: both must fail loudly
-    // rather than be accepted and ignored.
-    SimOptions opts;
-    std::string err;
-    {
-        const std::string flag = std::string("--") + "quantum";
-        const char *argv[] = {"leaftl_sim", flag.c_str(), "16"};
-        EXPECT_FALSE(parseArgs(3, argv, opts, err));
-        EXPECT_NE(err.find("unknown argument '" + flag + "'"),
-                  std::string::npos)
-            << err;
-    }
-    {
-        const char *argv[] = {"leaftl_sim", "--set", "quantum=16"};
-        EXPECT_FALSE(parseArgs(3, argv, opts, err));
-        EXPECT_NE(err.find("unknown key 'quantum'"), std::string::npos)
-            << err;
+    // Retired options: neither the flag nor the key exists, so both
+    // must fail loudly rather than be accepted and ignored.
+    for (const std::string name : {"quantum", "threads"}) {
+        SimOptions opts;
+        std::string err;
+        {
+            const std::string flag = "--" + name;
+            const char *argv[] = {"leaftl_sim", flag.c_str(), "16"};
+            EXPECT_FALSE(parseArgs(3, argv, opts, err));
+            EXPECT_NE(err.find("unknown argument '" + flag + "'"),
+                      std::string::npos)
+                << err;
+        }
+        {
+            const std::string set = name + "=16";
+            const char *argv[] = {"leaftl_sim", "--set", set.c_str()};
+            EXPECT_FALSE(parseArgs(3, argv, opts, err));
+            EXPECT_NE(err.find("unknown key '" + name + "'"),
+                      std::string::npos)
+                << err;
+        }
     }
 }
 
