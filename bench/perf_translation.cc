@@ -20,9 +20,19 @@
  * and through the bitmap-based RefGroup it replaced
  * (bench/learned_reference.hh, kept verbatim). Rows are
  * merge,new|reference|speedup,stream,gamma,mappings,ns,rate, with the
- * speedup row's rate column = reference_ns / new_ns. The bench exits 1
- * if the two implementations' final groups differ in any byte of
- * their canonical dump.
+ * speedup row's rate column = reference_ns / new_ns.
+ *
+ * A third section, `compact`, replays a uniform random stream the
+ * same way but times only the Group::compact / RefGroup::compact
+ * calls (the learn steps between them run untimed), so compaction's
+ * cost is visible apart from the merges on insert. It compacts after
+ * every 1/8 of the batches (at most every compact_every), so every
+ * scale times about eight rounds. Its rows have the merge section's
+ * columns; ns is the time inside compact() and rate is group
+ * compactions per second.
+ *
+ * The bench exits 1 if the two implementations' final groups differ
+ * in any byte of their canonical dump.
  */
 
 #include <algorithm>
@@ -89,14 +99,31 @@ parseArgs(int argc, char **argv)
 
 using Batch = std::vector<std::pair<Lpa, Ppa>>;
 
+/** LPA streams: sequential wraps, zipfian and uniform random keys. */
+enum class Stream { Seq, Zipf, Rand };
+
+const char *
+streamName(Stream stream)
+{
+    switch (stream) {
+    case Stream::Seq:
+        return "seq";
+    case Stream::Zipf:
+        return "zipf";
+    case Stream::Rand:
+        return "rand";
+    }
+    return "?";
+}
+
 /**
  * Build the write-buffer-flush-shaped batches for ~s.mappings
- * mappings. Zipfian batches are deduplicated (a write buffer holds one
- * entry per LPA), so the batches' total is the real learned count,
- * not the raw draw count.
+ * mappings. Zipfian and random batches are deduplicated (a write
+ * buffer holds one entry per LPA), so the batches' total is the real
+ * learned count, not the raw draw count.
  */
 std::vector<Batch>
-buildBatches(const PerfScale &s, bool zipfian, uint64_t seed)
+buildBatches(const PerfScale &s, Stream stream, uint64_t seed)
 {
     Rng rng(seed);
     ZipfGenerator zipf(s.span_pages, 0.99);
@@ -110,9 +137,12 @@ buildBatches(const PerfScale &s, bool zipfian, uint64_t seed)
         const uint64_t want =
             std::min<uint64_t>(s.batch, s.mappings - produced);
         keys.clear();
-        if (zipfian) {
-            for (uint64_t i = 0; i < want; i++)
-                keys.push_back(static_cast<Lpa>(zipf.next(rng)));
+        if (stream != Stream::Seq) {
+            for (uint64_t i = 0; i < want; i++) {
+                keys.push_back(static_cast<Lpa>(
+                    stream == Stream::Zipf ? zipf.next(rng)
+                                           : rng.nextBounded(s.span_pages)));
+            }
             std::sort(keys.begin(), keys.end());
             keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
         } else {
@@ -152,7 +182,8 @@ LearnResult
 learnPhase(LearnedTable &table, const PerfScale &s, bool zipfian,
            uint64_t seed)
 {
-    const std::vector<Batch> batches = buildBatches(s, zipfian, seed);
+    const std::vector<Batch> batches =
+        buildBatches(s, zipfian ? Stream::Zipf : Stream::Seq, seed);
     HostTimer timer;
     for (size_t b = 0; b < batches.size(); b++) {
         table.learn(batches[b]);
@@ -205,18 +236,27 @@ struct MergeStep
     bool compact;
 };
 
+/** One replay: host time of the whole loop and of compact() alone. */
+struct ReplayNs
+{
+    uint64_t total;
+    uint64_t compact;
+    uint64_t compactions; ///< Group::compact() calls.
+};
+
 /**
  * Replay @a steps into one group per group index, the way
  * LearnedTable::learn/compact drive them, and time it. Fitting is
  * done up front, so only update() and compact() are timed.
  */
 template <typename G, typename Scratch>
-uint64_t
+ReplayNs
 replayMerge(std::vector<G> &groups, const std::vector<MergeStep> &steps)
 {
     Scratch scratch;
     std::vector<uint32_t> created;
     std::vector<bool> seen(groups.size(), false);
+    uint64_t compact_ns = 0, compactions = 0;
     HostTimer timer;
     for (const MergeStep &step : steps) {
         for (const auto &[idx, segs] : step.fitted) {
@@ -228,55 +268,69 @@ replayMerge(std::vector<G> &groups, const std::vector<MergeStep> &steps)
                 groups[idx].update(fs, scratch);
         }
         if (step.compact) {
+            const HostTimer compact_timer;
             for (uint32_t idx : created)
                 groups[idx].compact(scratch);
+            compact_ns += compact_timer.elapsedNs();
+            compactions += created.size();
         }
     }
-    return timer.elapsedNs();
+    return {timer.elapsedNs(), compact_ns, compactions};
 }
 
 /**
- * The merge section: Group vs RefGroup on one (stream, gamma).
+ * One row triple of the merge or compact section: Group vs RefGroup
+ * on one (stream, gamma), timing the whole replay (merge) or its
+ * compact() calls alone (compact).
  * @return false when the two implementations diverged.
  */
 bool
-benchMerge(const PerfScale &s, bool zipfian, uint32_t gamma)
+benchMerge(const char *section, const PerfScale &s, Stream stream,
+           uint32_t gamma)
 {
+    const bool compact_only = std::strcmp(section, "compact") == 0;
     const std::vector<Batch> batches =
-        buildBatches(s, zipfian, /*seed=*/42 + gamma);
+        buildBatches(s, stream, /*seed=*/42 + gamma);
+    const uint64_t every =
+        compact_only ? std::clamp<uint64_t>(batches.size() / 8, 1,
+                                            s.compact_every)
+                     : s.compact_every;
     std::vector<MergeStep> steps;
     steps.reserve(batches.size());
     for (size_t b = 0; b < batches.size(); b++)
-        steps.push_back({fitRun(batches[b], gamma),
-                         (b + 1) % s.compact_every == 0});
+        steps.push_back({fitRun(batches[b], gamma), (b + 1) % every == 0});
 
     const size_t num_groups = (s.span_pages + kGroupSpan - 1) / kGroupSpan;
     std::vector<Group> groups(num_groups);
     std::vector<RefGroup> refs(num_groups);
-    const uint64_t new_ns = replayMerge<Group, MergeScratch>(groups, steps);
-    const uint64_t old_ns =
+    const ReplayNs new_ns = replayMerge<Group, MergeScratch>(groups, steps);
+    const ReplayNs old_ns =
         replayMerge<RefGroup, RefMergeScratch>(refs, steps);
 
+    const char *name = streamName(stream);
     for (size_t idx = 0; idx < num_groups; idx++) {
         if (canonicalGroupDump(groups[idx]) != canonicalGroupDump(refs[idx])) {
             std::fprintf(stderr,
-                         "perf_translation: merge diverged from the "
+                         "perf_translation: %s diverged from the "
                          "reference (%s, gamma %u, group %zu)\n",
-                         zipfian ? "zipf" : "seq", gamma, idx);
+                         section, name, gamma, idx);
             return false;
         }
     }
 
     const uint64_t mappings = countMappings(batches);
-    const char *stream = zipfian ? "zipf" : "seq";
-    std::printf("merge,new,%s,%u,%" PRIu64 ",%" PRIu64 ",%.0f\n", stream,
-                gamma, mappings, new_ns, perSecond(mappings, new_ns));
-    std::printf("merge,reference,%s,%u,%" PRIu64 ",%" PRIu64 ",%.0f\n",
-                stream, gamma, mappings, old_ns,
-                perSecond(mappings, old_ns));
-    std::printf("merge,speedup,%s,%u,%" PRIu64 ",0,%.2f\n", stream, gamma,
-                mappings,
-                static_cast<double>(old_ns) / static_cast<double>(new_ns));
+    const uint64_t new_t = compact_only ? new_ns.compact : new_ns.total;
+    const uint64_t old_t = compact_only ? old_ns.compact : old_ns.total;
+    const uint64_t ops = compact_only ? new_ns.compactions : mappings;
+    std::printf("%s,new,%s,%u,%" PRIu64 ",%" PRIu64 ",%.0f\n", section,
+                name, gamma, mappings, new_t, perSecond(ops, new_t));
+    std::printf("%s,reference,%s,%u,%" PRIu64 ",%" PRIu64 ",%.0f\n",
+                section, name, gamma, mappings, old_t,
+                perSecond(ops, old_t));
+    std::printf("%s,speedup,%s,%u,%" PRIu64 ",0,%.2f\n", section, name,
+                gamma, mappings,
+                new_t ? static_cast<double>(old_t) / static_cast<double>(new_t)
+                      : 0.0);
     std::fflush(stdout);
     return true;
 }
@@ -327,11 +381,16 @@ main(int argc, char **argv)
 
     std::fprintf(stderr, "perf_translation: merge vs reference...\n");
     std::printf("section,impl,stream,gamma,mappings,ns,rate\n");
-    for (const bool zipfian : {false, true}) {
+    for (const Stream stream : {Stream::Seq, Stream::Zipf}) {
         for (const uint32_t gamma : {0u, 4u, 16u}) {
-            if (!benchMerge(s, zipfian, gamma))
+            if (!benchMerge("merge", s, stream, gamma))
                 return 1;
         }
+    }
+    std::fprintf(stderr, "perf_translation: compact vs reference...\n");
+    for (const uint32_t gamma : {0u, 4u, 16u}) {
+        if (!benchMerge("compact", s, Stream::Rand, gamma))
+            return 1;
     }
     return 0;
 }

@@ -5,38 +5,37 @@
 namespace leaftl
 {
 
-namespace
-{
-const GroupMask kEmptyRun;
-
-bool
-runIdLess(const std::pair<Crb::SegId, GroupMask> &run, Crb::SegId id)
-{
-    return run.first < id;
-}
-} // namespace
+const GroupMask Crb::kEmptyRun;
 
 Crb::Crb()
 {
     std::fill(std::begin(owner_), std::end(owner_), kNoSeg);
 }
 
-std::vector<Crb::Run>::iterator
-Crb::findRun(SegId id)
+void
+Crb::claim(SegId id)
 {
-    auto it = std::lower_bound(runs_.begin(), runs_.end(), id, runIdLess);
-    if (it != runs_.end() && it->first == id)
-        return it;
-    return runs_.end();
+    LEAFTL_ASSERT(run(id).none(), "CRB id reused");
+    if (id >= slots_.size()) {
+        // Ids skipped by the growth are unused but never listed:
+        // unusedId() only hands out the end of the slots or freed ids.
+        while (slots_.size() <= id)
+            slots_.emplace_back();
+        return;
+    }
+    // unusedId() hands out the newest freed id, so this finds it at
+    // the back; only a caller picking its own ids searches further.
+    const auto it = std::find(free_.rbegin(), free_.rend(), id);
+    if (it != free_.rend())
+        free_.erase(std::next(it).base());
 }
 
-std::vector<Crb::Run>::const_iterator
-Crb::findRun(SegId id) const
+void
+Crb::release(SegId id)
 {
-    auto it = std::lower_bound(runs_.begin(), runs_.end(), id, runIdLess);
-    if (it != runs_.end() && it->first == id)
-        return it;
-    return runs_.end();
+    slots_[id] = GroupMask();
+    free_.push_back(id);
+    live_runs_--;
 }
 
 void
@@ -44,7 +43,7 @@ Crb::insertRun(SegId id, const std::vector<uint8_t> &offs,
                std::vector<SegId> &emptied)
 {
     LEAFTL_ASSERT(!offs.empty(), "CRB run must be non-empty");
-    LEAFTL_ASSERT(findRun(id) == runs_.end(), "CRB id reused");
+    claim(id);
 
     for (size_t i = 1; i < offs.size(); i++)
         LEAFTL_ASSERT(offs[i] > offs[i - 1], "CRB run must be sorted");
@@ -55,21 +54,20 @@ Crb::insertRun(SegId id, const std::vector<uint8_t> &offs,
     for (uint8_t off : offs) {
         mask.set(off);
         const SegId old = owner_[off];
-        if (old == kNoSeg || old == id)
+        if (old == kNoSeg)
             continue;
-        auto it = findRun(old);
-        LEAFTL_ASSERT(it != runs_.end(), "CRB owner index out of sync");
-        it->second.clear(off);
+        GroupMask &old_run = slots_[old];
+        LEAFTL_ASSERT(old_run.test(off), "CRB owner index out of sync");
+        old_run.clear(off);
         stored_offs_--; // Offsets are unique per run: exactly one gone.
-        if (it->second.none()) {
-            runs_.erase(it);
+        if (old_run.none()) {
+            release(old);
             emptied.push_back(old);
         }
     }
 
-    runs_.insert(
-        std::lower_bound(runs_.begin(), runs_.end(), id, runIdLess),
-        Run{id, mask});
+    slots_[id] = mask;
+    live_runs_++;
     stored_offs_ += offs.size();
     for (uint8_t off : offs)
         owner_[off] = id;
@@ -84,17 +82,17 @@ Crb::contains(SegId id, uint8_t off) const
 bool
 Crb::removeOffsets(SegId id, const GroupMask &offs)
 {
-    auto it = findRun(id);
-    if (it == runs_.end())
+    if (run(id).none())
         return true;
+    GroupMask &r = slots_[id];
     // A run's members are exactly the offsets it owns, so the owned
     // subset of @a offs is the intersection with the run.
-    const GroupMask gone = it->second & offs;
+    const GroupMask gone = r & offs;
     gone.forEach([&](uint8_t off) { owner_[off] = kNoSeg; });
     stored_offs_ -= gone.count();
-    it->second.subtract(gone);
-    if (it->second.none()) {
-        runs_.erase(it);
+    r.subtract(gone);
+    if (r.none()) {
+        release(id);
         return true;
     }
     return false;
@@ -103,10 +101,9 @@ Crb::removeOffsets(SegId id, const GroupMask &offs)
 void
 Crb::restoreRun(SegId id, const GroupMask &offs)
 {
-    LEAFTL_ASSERT(findRun(id) == runs_.end(), "CRB id reused");
-    runs_.insert(
-        std::lower_bound(runs_.begin(), runs_.end(), id, runIdLess),
-        Run{id, offs});
+    claim(id);
+    slots_[id] = offs;
+    live_runs_++;
     stored_offs_ += offs.count();
     offs.forEach([&](uint8_t off) {
         LEAFTL_ASSERT(owner_[off] == kNoSeg,
@@ -118,22 +115,15 @@ Crb::restoreRun(SegId id, const GroupMask &offs)
 void
 Crb::removeRun(SegId id)
 {
-    auto it = findRun(id);
-    if (it == runs_.end())
+    const GroupMask &r = run(id);
+    if (r.none())
         return;
-    it->second.forEach([&](uint8_t off) {
+    r.forEach([&](uint8_t off) {
         if (owner_[off] == id)
             owner_[off] = kNoSeg;
     });
-    stored_offs_ -= it->second.count();
-    runs_.erase(it);
-}
-
-const GroupMask &
-Crb::run(SegId id) const
-{
-    auto it = findRun(id);
-    return it == runs_.end() ? kEmptyRun : it->second;
+    stored_offs_ -= r.count();
+    release(id);
 }
 
 uint8_t
@@ -146,18 +136,28 @@ Crb::head(SegId id) const
 void
 Crb::checkAccounting() const
 {
-    size_t offs = 0;
-    for (const auto &[id, mask] : runs_) {
+    size_t offs = 0, live = 0;
+    for (SegId id = 0; id < slots_.size(); id++) {
+        const GroupMask &mask = slots_[id];
+        live += mask.none() ? 0 : 1;
         offs += mask.count();
-        mask.forEach([&, id = id](uint8_t off) {
+        mask.forEach([&](uint8_t off) {
             LEAFTL_ASSERT(owner_[off] == id, "CRB owner index out of sync");
         });
     }
     LEAFTL_ASSERT(offs == stored_offs_, "CRB size accounting out of sync");
+    LEAFTL_ASSERT(live == live_runs_, "CRB run count out of sync");
     const size_t owned = static_cast<size_t>(std::count_if(
         std::begin(owner_), std::end(owner_),
         [](SegId o) { return o != kNoSeg; }));
     LEAFTL_ASSERT(owned == stored_offs_, "CRB owner index out of sync");
+    for (size_t i = 0; i < free_.size(); i++) {
+        LEAFTL_ASSERT(free_[i] < slots_.size() && slots_[free_[i]].none(),
+                      "CRB free list names a live run");
+        LEAFTL_ASSERT(std::find(free_.begin() + static_cast<long>(i) + 1,
+                                free_.end(), free_[i]) == free_.end(),
+                      "CRB free list holds an id twice");
+    }
 }
 
 } // namespace leaftl

@@ -14,10 +14,15 @@
  * In memory each run is a 256-bit GroupMask: a run's offsets are
  * sorted and unique, so ascending mask order is the paper's run order,
  * deduplication and trimming are bit clears, and the merge reads a
- * victim's members without rebuilding them. Memory is still charged
- * the way the paper lays the CRB out -- one byte per stored offset
- * plus one separator byte per run -- and serialization emits those
- * bytes.
+ * victim's members without rebuilding them. A segment id is the index
+ * of its run's slot, so every run access is one vector index; ids of
+ * emptied or removed runs go on a free list and unusedId() hands them
+ * out again, which bounds the slots by the most runs ever live at
+ * once. Nothing outside the CRB observes ids (serialization and the
+ * canonical dumps emit runs in segment order), so recycling them
+ * changes no output. Memory is still charged the way the paper lays
+ * the CRB out -- one byte per stored offset plus one separator byte
+ * per run -- and serialization emits those bytes.
  *
  * Invariants mirror the paper's:
  *   - offsets inside one run are sorted and unique;
@@ -29,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "learned/group_mask.hh"
@@ -54,12 +58,23 @@ class Crb
      * erased and their ids reported so the caller can drop the
      * corresponding dead segments.
      *
-     * @param id New segment id (must be unused).
+     * @param id New segment id (must be unused; see unusedId()).
      * @param offs Sorted unique member offsets.
      * @param[out] emptied Ids of runs that lost their last offset.
      */
     void insertRun(SegId id, const std::vector<uint8_t> &offs,
                    std::vector<SegId> &emptied);
+
+    /**
+     * An id no live run holds: the most recently freed one, else a
+     * fresh slot. Stays the same until a run is inserted or freed.
+     */
+    SegId
+    unusedId() const
+    {
+        return free_.empty() ? static_cast<SegId>(slots_.size())
+                             : free_.back();
+    }
 
     /** Membership test: does segment @a id own offset @a off? */
     bool contains(SegId id, uint8_t off) const;
@@ -74,7 +89,7 @@ class Crb
      */
     bool removeOffsets(SegId id, const GroupMask &offs);
 
-    /** Drop a whole run (segment removed). */
+    /** Drop a whole run (segment removed) and free its id. */
     void removeRun(SegId id);
 
     /**
@@ -83,14 +98,18 @@ class Crb
      */
     void restoreRun(SegId id, const GroupMask &offs);
 
-    /** Current member offsets of a run (empty if unknown). */
-    const GroupMask &run(SegId id) const;
+    /** Current member offsets of a run (empty if unknown or freed). */
+    const GroupMask &
+    run(SegId id) const
+    {
+        return id < slots_.size() ? slots_[id] : kEmptyRun;
+    }
 
     /** First (smallest) member offset of a run; 0 if unknown. */
     uint8_t head(SegId id) const;
 
     /** Number of live runs. */
-    size_t numRuns() const { return runs_.size(); }
+    size_t numRuns() const { return live_runs_; }
 
     /**
      * Memory footprint in bytes using the paper's accounting: one byte
@@ -98,29 +117,34 @@ class Crb
      * incrementally, so this is an O(1) read on the learn hot path
      * and in every reporter tick.
      */
-    size_t sizeBytes() const { return stored_offs_ + runs_.size(); }
+    size_t sizeBytes() const { return stored_offs_ + live_runs_; }
 
     /**
      * Verify the incremental accounting against a full walk: the run
-     * masks' popcounts sum to the stored-offset count, and the owner
-     * index names exactly the runs' members (tests).
+     * masks' popcounts sum to the stored-offset count, the owner index
+     * names exactly the runs' members, the live count matches, and the
+     * free list holds only empty slots (tests).
      */
     void checkAccounting() const;
 
   private:
-    using Run = std::pair<SegId, GroupMask>;
+    static const GroupMask kEmptyRun;
 
-    /** Iterator to the run with @a id, or end() if absent. */
-    std::vector<Run>::iterator findRun(SegId id);
-    std::vector<Run>::const_iterator findRun(SegId id) const;
+    /** Take @a id for a new run: grow the slots or unlist a freed id. */
+    void claim(SegId id);
+
+    /** Empty @a id's slot and put the id on the free list. */
+    void release(SegId id);
 
     /**
-     * Live runs, sorted by segment id. A group holds few runs at a
-     * time, so a flat sorted vector of inline masks is one
-     * cache-friendly binary search per lookup and needs no heap
-     * allocation per run.
+     * Run of segment id i at slots_[i]; empty slots are unused ids.
+     * Live runs are never empty, so an empty mask marks a free slot.
      */
-    std::vector<Run> runs_;
+    std::vector<GroupMask> slots_;
+    /** Freed ids, reused last-in first-out by unusedId(). */
+    std::vector<SegId> free_;
+    /** Non-empty slots (incremental numRuns/sizeBytes). */
+    size_t live_runs_ = 0;
     /** Reverse index: offset -> owning approximate segment. */
     SegId owner_[kGroupSpan];
     /** Total offsets across all runs (incremental sizeBytes). */

@@ -94,30 +94,9 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
     // The entry's members do not change while its victims are merged.
     const GroupMask entry_bits = segmentMask(entry);
     while (in_window(i)) {
-        SegEntry &victim = level.segs[i];
-
-        // Subtract the new segment's members from the victim. For
-        // approximate victims the CRB insert already stole the
-        // overwritten offsets, so the subtraction is mostly a no-op
-        // there; accurate victims are trimmed here.
-        GroupMask remaining = segmentMask(victim);
-        const GroupMask stolen = remaining & entry_bits;
-        remaining.subtract(entry_bits);
-
-        if (remaining.none()) {
-            // Victim fully superseded: remove it (Algorithm 1 l.11-12).
-            if (victim.seg.approximate())
-                crb_.removeRun(victim.id);
-            countErase(victim);
-            level.segs.erase(level.segs.begin() + i);
+        if (!subtractFromVictim(level.segs, i, entry_bits))
             continue;
-        }
-
-        // Trim the victim's range; K and I are never touched.
-        victim.seg.trim(remaining.first(), remaining.last());
-        if (victim.seg.approximate() && !stolen.none())
-            crb_.removeOffsets(victim.id, stolen);
-
+        const SegEntry &victim = level.segs[i];
         if (entry.seg.overlaps(victim.seg)) {
             // Range still interleaves: the victim cannot share a sorted
             // run with the entry (Algorithm 1 lines 13-16).
@@ -130,6 +109,36 @@ Group::mergeVictims(size_t level_idx, const SegEntry &entry,
         }
         i++;
     }
+}
+
+bool
+Group::subtractFromVictim(std::vector<SegEntry> &segs, size_t i,
+                          const GroupMask &entry_bits)
+{
+    SegEntry &victim = segs[i];
+
+    // Subtract the new segment's members from the victim. For
+    // approximate victims the CRB insert already stole the overwritten
+    // offsets, so the subtraction is mostly a no-op there; accurate
+    // victims are trimmed here.
+    GroupMask remaining = segmentMask(victim);
+    const GroupMask stolen = remaining & entry_bits;
+    remaining.subtract(entry_bits);
+
+    if (remaining.none()) {
+        // Victim fully superseded: remove it (Algorithm 1 l.11-12).
+        if (victim.seg.approximate())
+            crb_.removeRun(victim.id);
+        countErase(victim);
+        segs.erase(segs.begin() + i);
+        return false;
+    }
+
+    // Trim the victim's range; K and I are never touched.
+    victim.seg.trim(remaining.first(), remaining.last());
+    if (victim.seg.approximate() && !stolen.none())
+        crb_.removeOffsets(victim.id, stolen);
+    return true;
 }
 
 void
@@ -190,7 +199,7 @@ Group::update(const FittedSegment &fs, MergeScratch &scratch)
     entry.seg = fs.seg;
 
     if (fs.seg.approximate()) {
-        entry.id = next_id_++;
+        entry.id = crb_.unusedId();
         scratch.emptied.clear();
         crb_.insertRun(entry.id, fs.offs, scratch.emptied);
         // Runs emptied by deduplication belong to fully superseded
@@ -240,6 +249,35 @@ Group::lookup(uint8_t off, const SegEntry **top_hit) const
 }
 
 void
+Group::subtractFromLevel(size_t level_idx, const SegEntry &entry,
+                         std::optional<GroupMask> &entry_bits)
+{
+    std::vector<SegEntry> &segs = levels_[level_idx].segs;
+    // The victim window, as in mergeVictims().
+    const bool entry_approx = entry.seg.approximate();
+    for (size_t i = firstEndingAtOrAfter(segs, entry.seg.slpa());
+         i < segs.size() && segs[i].seg.slpa() <= entry.seg.endOff();) {
+        const SegEntry &victim = segs[i];
+
+        // Two approximate segments never share a member (the CRB has
+        // one owner per offset), so nothing is stolen and the victim's
+        // run stays non-empty. If the run still holds both range ends,
+        // the trim to the run's bounds is a no-op as well.
+        if (entry_approx && victim.seg.approximate() &&
+            crb_.contains(victim.id, victim.seg.slpa()) &&
+            crb_.contains(victim.id, victim.seg.endOff())) {
+            i++;
+            continue;
+        }
+
+        if (!entry_bits)
+            entry_bits = segmentMask(entry);
+        if (subtractFromVictim(segs, i, *entry_bits))
+            i++;
+    }
+}
+
+void
 Group::compact(MergeScratch &scratch)
 {
     // Phase 1: subtract every newer segment's members from every
@@ -248,12 +286,14 @@ Group::compact(MergeScratch &scratch)
     // superseded ones are trimmed. Placement is untouched, so newer
     // segments stay above the stale interior members of accurate
     // victims they shadow.
+    // The entry's members do not change while the levels below it are
+    // processed, so its mask is built at most once, on first need.
     for (size_t li = 0; li + 1 < levels_.size(); li++) {
         for (size_t i = 0; i < levels_[li].segs.size(); i++) {
             const SegEntry entry = levels_[li].segs[i];
+            std::optional<GroupMask> entry_bits;
             for (size_t lj = li + 1; lj < levels_.size(); lj++)
-                mergeVictims(lj, entry, /*detach_conflicts=*/false,
-                             scratch);
+                subtractFromLevel(lj, entry, entry_bits);
         }
     }
 
@@ -295,7 +335,7 @@ Group::restoreRaw(size_t level, const Segment &seg, const GroupMask &run)
     SegEntry entry;
     entry.seg = seg;
     if (seg.approximate()) {
-        entry.id = next_id_++;
+        entry.id = crb_.unusedId();
         crb_.restoreRun(entry.id, run);
     }
     insertSorted(levels_[level], entry);

@@ -22,7 +22,16 @@
  * Compaction (seg_compact) sinks segments into lower levels when no
  * range conflict remains, reclaiming dead segments and empty levels.
  * Interleaved-but-member-disjoint segments legitimately stay on
- * separate levels (they cannot share a sorted run).
+ * separate levels (they cannot share a sorted run). Its first phase
+ * subtracts every segment from the victims on every level below, and
+ * most of those pairs provably change nothing: an approximate victim
+ * under an approximate entry is skipped outright when its CRB run
+ * still holds both ends of its range. The skip is exact -- the CRB
+ * has one owner per offset, so two approximate segments share no
+ * member and nothing is stolen; the run stays non-empty, so the
+ * victim survives; and a run holding S and S+L trims the range to
+ * itself. A victim whose end offset was stolen by a newer run's CRB
+ * deduplication is loose and still goes through the trim.
  *
  * Hot-path design: the merge machinery works out of a caller-provided
  * MergeScratch (victim vectors reused across learns, so the
@@ -198,6 +207,28 @@ class Group
     void mergeVictims(size_t level_idx, const SegEntry &entry,
                       bool detach_conflicts, MergeScratch &scratch);
 
+    /**
+     * Algorithm 2 on the victim at @a segs[i]: subtract
+     * @a entry_bits from its members, then drop it when nothing is
+     * left or trim its range (and CRB run) to what is.
+     * @return false when the victim was dropped (segs[i] is now the
+     *         next segment).
+     */
+    bool subtractFromVictim(std::vector<SegEntry> &segs, size_t i,
+                            const GroupMask &entry_bits);
+
+    /**
+     * Compaction phase 1 against one lower level: Algorithm 2's
+     * subtraction of @a entry from each victim of @a level_idx, with
+     * dead victims removed and survivors trimmed -- mergeVictims()
+     * without the conflict collection phase 1 discards. Victims the
+     * subtraction provably leaves unchanged are skipped without
+     * building a mask; @a entry_bits caches the entry's mask across
+     * levels (built on the first victim that needs it).
+     */
+    void subtractFromLevel(size_t level_idx, const SegEntry &entry,
+                           std::optional<GroupMask> &entry_bits);
+
     /** Pop a victim below @a from_level (Algorithm 1 lines 13-16). */
     void pushVictimDown(size_t from_level, const SegEntry &victim);
 
@@ -226,7 +257,6 @@ class Group
 
     std::vector<Level> levels_; ///< [0] is the topmost (newest).
     Crb crb_;
-    Crb::SegId next_id_ = 1;
     uint32_t num_segs_ = 0;   ///< Live segments across all levels.
     uint32_t num_approx_ = 0; ///< Live approximate segments.
 };

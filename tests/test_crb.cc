@@ -137,6 +137,98 @@ TEST(Crb, AverageSizeMatchesPaperScale)
     EXPECT_EQ(crb.sizeBytes(), (3u + 1) + (4u + 1) + (2u + 1));
 }
 
+TEST(CrbSlots, FreshIdsCountUpFromZero)
+{
+    Crb crb;
+    std::vector<Crb::SegId> emptied;
+    EXPECT_EQ(crb.unusedId(), 0u);
+    crb.insertRun(crb.unusedId(), {1, 2}, emptied);
+    EXPECT_EQ(crb.unusedId(), 1u);
+    crb.insertRun(crb.unusedId(), {3}, emptied);
+    EXPECT_EQ(crb.unusedId(), 2u);
+    crb.checkAccounting();
+}
+
+TEST(CrbSlots, IdEmptiedByDedupIsReused)
+{
+    Crb crb;
+    std::vector<Crb::SegId> emptied;
+    crb.insertRun(crb.unusedId(), {5, 6}, emptied);    // id 0
+    crb.insertRun(crb.unusedId(), {20, 21}, emptied);  // id 1
+    crb.insertRun(crb.unusedId(), {5, 6, 7}, emptied); // id 2 empties 0
+    ASSERT_EQ(emptied, (std::vector<Crb::SegId>{0}));
+    EXPECT_TRUE(crb.run(0).none());
+    EXPECT_EQ(crb.numRuns(), 2u);
+    EXPECT_EQ(crb.sizeBytes(), (2u + 1) + (3u + 1));
+    crb.checkAccounting();
+
+    ASSERT_EQ(crb.unusedId(), 0u);
+    crb.insertRun(0, {40}, emptied);
+    EXPECT_EQ(crb.run(0).count(), 1u);
+    EXPECT_TRUE(crb.run(0).test(40));
+    EXPECT_EQ(crb.owner(40), 0u);
+    EXPECT_EQ(crb.owner(5), 2u);
+    EXPECT_EQ(crb.numRuns(), 3u);
+    EXPECT_EQ(crb.sizeBytes(), (2u + 1) + (3u + 1) + (1u + 1));
+    EXPECT_EQ(crb.unusedId(), 3u);
+    crb.checkAccounting();
+}
+
+TEST(CrbSlots, IdFreedByRemovalIsReusedNewestFirst)
+{
+    Crb crb;
+    std::vector<Crb::SegId> emptied;
+    for (uint32_t base = 0; base < 40; base += 10) // ids 0..3
+        crb.insertRun(crb.unusedId(),
+                      {static_cast<uint8_t>(base),
+                       static_cast<uint8_t>(base + 1)},
+                      emptied);
+    crb.removeRun(1);
+    EXPECT_TRUE(crb.removeOffsets(3, {30, 31}));
+    EXPECT_TRUE(crb.run(1).none());
+    EXPECT_TRUE(crb.run(3).none());
+    EXPECT_EQ(crb.owner(10), Crb::kNoSeg);
+    EXPECT_EQ(crb.numRuns(), 2u);
+    EXPECT_EQ(crb.sizeBytes(), 2u * 3);
+    crb.checkAccounting();
+
+    EXPECT_EQ(crb.unusedId(), 3u);
+    crb.insertRun(crb.unusedId(), {50}, emptied);
+    EXPECT_EQ(crb.unusedId(), 1u);
+    crb.restoreRun(crb.unusedId(), GroupMask{60, 61, 62});
+    EXPECT_EQ(crb.unusedId(), 4u); // Free list drained: a fresh slot.
+    EXPECT_TRUE(crb.contains(1, 61));
+    EXPECT_TRUE(crb.contains(3, 50));
+    EXPECT_EQ(crb.numRuns(), 4u);
+    EXPECT_EQ(crb.sizeBytes(), 2u * 3 + 2 + 4);
+    crb.checkAccounting();
+
+    // Removing a freed id again is a no-op.
+    crb.removeRun(2);
+    crb.removeRun(2);
+    EXPECT_EQ(crb.numRuns(), 3u);
+    crb.checkAccounting();
+}
+
+TEST(CrbSlots, CallerChosenIdsLeaveTheFreeListConsistent)
+{
+    Crb crb;
+    std::vector<Crb::SegId> emptied;
+    crb.insertRun(7, {1}, emptied); // Skips ids 0..6 without listing them.
+    EXPECT_EQ(crb.unusedId(), 8u);
+    crb.insertRun(3, {2}, emptied);
+    crb.removeRun(3);
+    crb.removeRun(7);
+    EXPECT_EQ(crb.unusedId(), 7u);
+    // Re-take the older freed id by hand: the newer one stays listed.
+    crb.insertRun(3, {4}, emptied);
+    EXPECT_EQ(crb.unusedId(), 7u);
+    crb.insertRun(crb.unusedId(), {5}, emptied);
+    EXPECT_EQ(crb.unusedId(), 8u);
+    EXPECT_EQ(crb.numRuns(), 2u);
+    crb.checkAccounting();
+}
+
 TEST(CrbDeath, ReusedIdAborts)
 {
     Crb crb;

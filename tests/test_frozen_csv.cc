@@ -6,6 +6,11 @@
  * --config file (or --set override) must reproduce the same rows.
  * If one of these fails, the config lowering changed simulation
  * behavior — not just plumbing.
+ *
+ * A second golden file, golden_compact.csv, freezes every column but
+ * wall_ns of a LeaFTL sweep long enough that each row's learned table
+ * compacts several times, so changes to the compaction path (§3.7)
+ * are pinned end to end, not only against the reference group.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +23,8 @@
 
 #include "cli/sim_cli.hh"
 #include "csv_test_util.hh"
+#include "sim/runner.hh"
+#include "ssd/ssd.hh"
 
 namespace leaftl
 {
@@ -59,6 +66,17 @@ sweepCsv(const SimOptions &opts)
     return stripWallNs(out.str());
 }
 
+/** Contents of a checked-in file under tests/data/. */
+std::string
+readGolden(const std::string &name)
+{
+    std::ifstream in(std::string(LEAFTL_SOURCE_DIR "/tests/data/") + name);
+    EXPECT_TRUE(in.good()) << "missing checked-in " << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
 /** A config file written to a unique temp path, removed on scope exit. */
 class TempConfig
 {
@@ -94,14 +112,47 @@ TEST(FrozenCsv, FlagsOnlySweepMatchesTheGoldenFile)
          "--requests", "300", "--ws", "2048", "--prefill", "0.25",
          "--seed", "42", "--jobs", "4"});
 
-    std::ifstream golden_in(LEAFTL_SOURCE_DIR
-                            "/tests/data/golden_sweep.csv");
-    ASSERT_TRUE(golden_in.good())
-        << "missing checked-in golden_sweep.csv";
-    std::ostringstream golden;
-    golden << golden_in.rdbuf();
+    EXPECT_EQ(columnPrefix(sweepCsv(opts), kGoldenColumns),
+              readGolden("golden_sweep.csv"));
+}
 
-    EXPECT_EQ(columnPrefix(sweepCsv(opts), kGoldenColumns), golden.str());
+TEST(FrozenCsv, CompactingSweepMatchesTheGoldenFile)
+{
+    // The invocation tests/data/golden_compact.csv was captured with
+    // (wall_ns stripped) before compaction's phase-1 shortcuts landed.
+    const SimOptions opts = parse(
+        {"--ftl", "leaftl", "--workload", "synthetic:rand,synthetic:zipf",
+         "--gamma", "0,4,16", "--requests", "40000", "--ws", "4096",
+         "--prefill", "0.85", "--seed", "42", "--jobs", "2"});
+    const std::string golden = readGolden("golden_compact.csv");
+    EXPECT_EQ(sweepCsv(opts), golden);
+
+    // The golden only pins compaction if every row compacts: replay
+    // each row the way the sweep does, check that it reproduces its
+    // golden row, and count its compactions.
+    std::istringstream rows(golden);
+    std::string row;
+    std::getline(rows, row); // Header.
+    for (const std::string &spec : opts.workloads) {
+        for (const uint32_t gamma : opts.gammas) {
+            ASSERT_TRUE(std::getline(rows, row));
+            std::string err;
+            auto wl = makeWorkload(spec, opts, err);
+            ASSERT_TRUE(wl) << err;
+            const SsdConfig cfg = makeConfig(FtlKind::LeaFTL, gamma, opts);
+            Ssd ssd(cfg);
+            RunOptions ropts;
+            ropts.prefill_pages = static_cast<uint64_t>(
+                opts.prefill_frac * opts.working_set_pages);
+            ropts.mixed_prefill = true;
+            const RunResult res = Runner::replay(ssd, *wl, ropts);
+            EXPECT_EQ(stripWallNs(csvRow(res, FtlKind::LeaFTL, gamma, cfg)),
+                      row + "\n")
+                << spec << " gamma " << gamma;
+            EXPECT_GE(ssd.stats().compactions, 3u)
+                << spec << " gamma " << gamma;
+        }
+    }
 }
 
 TEST(FrozenCsv, ConfigFileReproducesTheFlagRows)
