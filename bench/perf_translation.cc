@@ -25,14 +25,17 @@
  * A third section, `compact`, replays a uniform random stream the
  * same way but times only the Group::compact / RefGroup::compact
  * calls (the learn steps between them run untimed), so compaction's
- * cost is visible apart from the merges on insert. It compacts after
- * every 1/8 of the batches (at most every compact_every), so every
- * scale times about eight rounds. Its rows have the merge section's
- * columns; ns is the time inside compact() and rate is group
- * compactions per second.
+ * cost is visible apart from the merges on insert. Its rows have the
+ * merge section's columns; ns is the time inside compact() and rate
+ * is group compactions per second.
+ *
+ * Both sections compact after every 1/8 of the batches (at most every
+ * compact_every), so every scale runs about eight rounds of
+ * learn+compact.
  *
  * The bench exits 1 if the two implementations' final groups differ
- * in any byte of their canonical dump.
+ * in any byte of their canonical dump, or if a section ran no
+ * compaction.
  */
 
 #include <algorithm>
@@ -292,9 +295,7 @@ benchMerge(const char *section, const PerfScale &s, Stream stream,
     const std::vector<Batch> batches =
         buildBatches(s, stream, /*seed=*/42 + gamma);
     const uint64_t every =
-        compact_only ? std::clamp<uint64_t>(batches.size() / 8, 1,
-                                            s.compact_every)
-                     : s.compact_every;
+        std::clamp<uint64_t>(batches.size() / 8, 1, s.compact_every);
     std::vector<MergeStep> steps;
     steps.reserve(batches.size());
     for (size_t b = 0; b < batches.size(); b++)
@@ -308,6 +309,13 @@ benchMerge(const char *section, const PerfScale &s, Stream stream,
         replayMerge<RefGroup, RefMergeScratch>(refs, steps);
 
     const char *name = streamName(stream);
+    if (new_ns.compactions == 0) {
+        std::fprintf(stderr,
+                     "perf_translation: %s section ran no compaction "
+                     "(%s, gamma %u)\n",
+                     section, name, gamma);
+        return false;
+    }
     for (size_t idx = 0; idx < num_groups; idx++) {
         if (canonicalGroupDump(groups[idx]) != canonicalGroupDump(refs[idx])) {
             std::fprintf(stderr,

@@ -11,19 +11,42 @@ Sftl::Sftl(FtlOps &ops, uint32_t page_size, uint64_t budget_bytes)
     LEAFTL_ASSERT(entries_per_tpage_ > 0, "SFTL: page too small");
 }
 
+namespace
+{
+
+/** Does slot @a i start a run (mapped, and not continuing slot i-1)? */
+bool
+startsRun(const std::vector<Ppa> &entries, size_t i)
+{
+    return entries[i] != kInvalidPpa &&
+           (i == 0 || entries[i - 1] == kInvalidPpa ||
+            entries[i] != entries[i - 1] + 1);
+}
+
+} // namespace
+
 uint32_t
 Sftl::countRuns(const std::vector<Ppa> &entries)
 {
     uint32_t runs = 0;
-    for (size_t i = 0; i < entries.size(); i++) {
-        if (entries[i] == kInvalidPpa)
-            continue;
-        if (i == 0 || entries[i - 1] == kInvalidPpa ||
-            entries[i] != entries[i - 1] + 1) {
-            runs++;
-        }
-    }
+    for (size_t i = 0; i < entries.size(); i++)
+        runs += startsRun(entries, i) ? 1 : 0;
     return runs;
+}
+
+uint32_t
+Sftl::setEntry(std::vector<Ppa> &entries, uint32_t runs, uint32_t slot,
+               Ppa ppa)
+{
+    const auto starts_near = [&] {
+        return (startsRun(entries, slot) ? 1u : 0u) +
+               (slot + 1 < entries.size() && startsRun(entries, slot + 1)
+                    ? 1u
+                    : 0u);
+    };
+    runs -= starts_near();
+    entries[slot] = ppa;
+    return runs + starts_near();
 }
 
 Sftl::TPage &
@@ -104,8 +127,7 @@ Sftl::trim(Lpa lpa)
     makeResident(tvpn, tp, /*charge_read=*/!tp.resident);
     const size_t old_compressed = compressedBytes(tp);
     full_bytes_ -= old_compressed;
-    tp.entries[slotOf(lpa)] = kInvalidPpa;
-    tp.runs = countRuns(tp.entries);
+    tp.runs = setEntry(tp.entries, tp.runs, slotOf(lpa), kInvalidPpa);
     tp.dirty = true;
     full_bytes_ += compressedBytes(tp);
     if (tp.resident) {
@@ -128,8 +150,7 @@ Sftl::recordMappings(const std::vector<std::pair<Lpa, Ppa>> &run)
 
         const size_t old_compressed = compressedBytes(tp);
         full_bytes_ -= old_compressed;
-        tp.entries[slotOf(lpa)] = ppa;
-        tp.runs = countRuns(tp.entries);
+        tp.runs = setEntry(tp.entries, tp.runs, slotOf(lpa), ppa);
         tp.dirty = true;
         full_bytes_ += compressedBytes(tp);
         if (tp.resident) {
@@ -158,8 +179,7 @@ Sftl::recordMappingsGc(const std::vector<std::pair<Lpa, Ppa>> &run)
         TPage &tp = getOrCreate(tvpn);
         const size_t old_compressed = compressedBytes(tp);
         full_bytes_ -= old_compressed;
-        tp.entries[slotOf(lpa)] = ppa;
-        tp.runs = countRuns(tp.entries);
+        tp.runs = setEntry(tp.entries, tp.runs, slotOf(lpa), ppa);
         full_bytes_ += compressedBytes(tp);
         if (tp.resident) {
             resident_bytes_ += compressedBytes(tp);

@@ -54,6 +54,21 @@ class Sftl : public Ftl
         return entries_per_tpage_ / 8;
     }
 
+    /**
+     * Compressed descriptors of a translation page, counted from
+     * scratch: one per slot that starts a run (the reference for
+     * setEntry()).
+     */
+    static uint32_t countRuns(const std::vector<Ppa> &entries);
+
+    /**
+     * Set entries[slot] = @a ppa and return the page's new run count
+     * given the old one, @a runs. Only the run starts at slot and
+     * slot + 1 can change, so this is O(1).
+     */
+    static uint32_t setEntry(std::vector<Ppa> &entries, uint32_t runs,
+                             uint32_t slot, Ppa ppa);
+
   private:
     struct TPage
     {
@@ -68,7 +83,6 @@ class Sftl : public Ftl
     uint32_t slotOf(Lpa lpa) const { return lpa % entries_per_tpage_; }
 
     TPage &getOrCreate(uint32_t tvpn);
-    static uint32_t countRuns(const std::vector<Ppa> &entries);
     /** Fetch a page into the cache (charging a read when it exists). */
     void makeResident(uint32_t tvpn, TPage &tp, bool charge_read);
     void evictToBudget();

@@ -39,8 +39,7 @@ Crb::release(SegId id)
 }
 
 void
-Crb::insertRun(SegId id, const std::vector<uint8_t> &offs,
-               std::vector<SegId> &emptied)
+Crb::insertRun(SegId id, const std::vector<uint8_t> &offs)
 {
     LEAFTL_ASSERT(!offs.empty(), "CRB run must be non-empty");
     claim(id);
@@ -49,7 +48,7 @@ Crb::insertRun(SegId id, const std::vector<uint8_t> &offs,
         LEAFTL_ASSERT(offs[i] > offs[i - 1], "CRB run must be sorted");
 
     // Deduplicate: steal ownership from older runs, in offset order so
-    // emptied runs are reported in the order they lose their last one.
+    // emptied runs are freed in the order they lose their last one.
     GroupMask mask;
     for (uint8_t off : offs) {
         mask.set(off);
@@ -60,10 +59,8 @@ Crb::insertRun(SegId id, const std::vector<uint8_t> &offs,
         LEAFTL_ASSERT(old_run.test(off), "CRB owner index out of sync");
         old_run.clear(off);
         stored_offs_--; // Offsets are unique per run: exactly one gone.
-        if (old_run.none()) {
+        if (old_run.none())
             release(old);
-            emptied.push_back(old);
-        }
     }
 
     slots_[id] = mask;

@@ -55,15 +55,14 @@ class Crb
      * Register the member offsets of a new approximate segment.
      * Offsets already owned by other runs are deduplicated (the new
      * segment takes ownership). Runs emptied by deduplication are
-     * erased and their ids reported so the caller can drop the
-     * corresponding dead segments.
+     * erased and their ids freed, in the order they lose their last
+     * offset; the caller, which looked up the owners of @a offs
+     * beforehand, drops the corresponding dead segments.
      *
      * @param id New segment id (must be unused; see unusedId()).
      * @param offs Sorted unique member offsets.
-     * @param[out] emptied Ids of runs that lost their last offset.
      */
-    void insertRun(SegId id, const std::vector<uint8_t> &offs,
-                   std::vector<SegId> &emptied);
+    void insertRun(SegId id, const std::vector<uint8_t> &offs);
 
     /**
      * An id no live run holds: the most recently freed one, else a

@@ -8,6 +8,26 @@
  * overlap, so a level is searched with one binary search; across
  * levels, ranges may overlap and the topmost hit wins (newest mapping).
  *
+ * Layout: all of a group's segments live in one level-major vector,
+ * level 0 first, each level a sorted slice of it. A level itself is
+ * only a summary of its slice:
+ *   - begin: where the slice starts (it ends where the next level's
+ *     begins);
+ *   - members: the union of its segments' member masks. The union is
+ *     exact -- a level's ranges are disjoint, so no two of its
+ *     segments share a member and removing one segment's mask
+ *     removes exactly its bits;
+ *   - loose: how many of its approximate segments have a CRB run that
+ *     lacks S or S+L (a newer run's deduplication stole an end).
+ * Both summaries are kept exact by every mutation: insert, erase, the
+ * merge's trims, pushes and sinks, recovery, and CRB deduplication
+ * (which shrinks older runs wherever they live).
+ *
+ * Lookup tests one bit per level and binary-searches only the first
+ * level whose members hold the offset; by exactness that is the level
+ * a walk with has_lpa at every level would stop at, so the number of
+ * levels visited is unchanged.
+ *
  * Inserting a new segment merges it against overlapping victims
  * (Algorithm 2): both sides' members are 256-bit GroupMasks (stride
  * arithmetic for accurate segments, the CRB run for approximate ones),
@@ -24,22 +44,26 @@
  * Interleaved-but-member-disjoint segments legitimately stay on
  * separate levels (they cannot share a sorted run). Its first phase
  * subtracts every segment from the victims on every level below, and
- * most of those pairs provably change nothing: an approximate victim
- * under an approximate entry is skipped outright when its CRB run
- * still holds both ends of its range. The skip is exact -- the CRB
- * has one owner per offset, so two approximate segments share no
- * member and nothing is stolen; the run stays non-empty, so the
- * victim survives; and a run holding S and S+L trims the range to
- * itself. A victim whose end offset was stolen by a newer run's CRB
- * deduplication is loose and still goes through the trim.
+ * most of those pairs provably change nothing. A whole lower level is
+ * skipped when it holds no loose segment and its members are disjoint
+ * from the entry's. The skip is exact: nothing is stolen, so every
+ * victim survives and is only trimmed to the bounds of its own
+ * members, which are its range ends -- an accurate segment's ends lie
+ * on its stride grid (fitting sets S+L - S = (n-1)d and trims cut to
+ * grid points), and a non-loose approximate run holds S and S+L.
+ * Inside a level that cannot be skipped, the same argument skips each
+ * non-loose victim whose range holds none of the members the entry
+ * shares with the level (by exactness, the level's members inside a
+ * victim's range are that victim's members). Two approximate segments
+ * never share a member -- the CRB has one owner per offset -- so under
+ * an approximate entry only loose approximate victims are touched.
  *
  * Hot-path design: the merge machinery works out of a caller-provided
- * MergeScratch (victim vectors reused across learns, so the
- * steady-state learn path performs no heap allocation), segment /
- * approximate counts are maintained incrementally (numSegments(),
- * numApproximate() and memoryBytes() are O(1) reads), and segment
- * visitation is a template so reporting loops pay no std::function
- * indirection.
+ * MergeScratch (vectors reused across learns, so the steady-state
+ * learn path performs no heap allocation), segment / approximate
+ * counts are maintained incrementally (numSegments(), numApproximate()
+ * and memoryBytes() are O(1) reads), and segment visitation is a
+ * template so reporting loops pay no std::function indirection.
  */
 
 #pragma once
@@ -81,8 +105,16 @@ struct SegEntry
  */
 struct MergeScratch
 {
+    /** An older approximate segment a new CRB run steals from. */
+    struct Steal
+    {
+        Crb::SegId id;  ///< The older segment's CRB id.
+        uint32_t level; ///< Its level.
+        uint8_t off;    ///< One offset it held (locates it in the level).
+    };
+
     std::vector<SegEntry> conflicts;  ///< Range-conflicting survivors.
-    std::vector<Crb::SegId> emptied;  ///< Runs emptied by CRB dedup.
+    std::vector<Steal> steals;        ///< Owners a new run steals from.
 };
 
 /** Log-structured mapping table for one 256-LPA group. */
@@ -110,7 +142,9 @@ class Group
      * Translate a group offset; nullopt when the LPA was never learned.
      * On a hit served by level 0, @a top_hit (when non-null) receives
      * the serving entry -- the table's last-hit lookup cache keys on
-     * it; the pointer is valid until the next mutation of this group.
+     * it. The pointer aims into the group's flat segment array, which
+     * any mutation of the group may shift or reallocate, so it is
+     * valid only until the next mutation.
      */
     std::optional<GroupLookup>
     lookup(uint8_t off, const SegEntry **top_hit = nullptr) const;
@@ -160,8 +194,8 @@ class Group
     forEachSegment(Fn &&fn) const
     {
         for (size_t li = 0; li < levels_.size(); li++) {
-            for (const SegEntry &e : levels_[li].segs)
-                fn(e, li);
+            for (size_t i = levels_[li].begin; i < levelEnd(li); i++)
+                fn(segs_[i], li);
         }
     }
 
@@ -177,10 +211,49 @@ class Group
     void restoreRaw(size_t level, const Segment &seg, const GroupMask &run);
 
   private:
+    /** A level: the summary of its slice of segs_. */
     struct Level
     {
-        std::vector<SegEntry> segs; ///< Sorted by S, non-overlapping.
+        GroupMask members;  ///< Exact union of its segments' masks.
+        uint32_t begin = 0; ///< Index of its first segment in segs_.
+        uint32_t loose = 0; ///< Approximate segments missing S or S+L.
     };
+
+    /** One past the last segs_ index of level @a li. */
+    size_t
+    levelEnd(size_t li) const
+    {
+        return li + 1 < levels_.size() ? levels_[li + 1].begin
+                                       : segs_.size();
+    }
+
+    /**
+     * True for an approximate segment whose CRB run lacks its first or
+     * last range offset: trimming it changes its range even when
+     * nothing is subtracted from it.
+     */
+    bool
+    isLoose(const SegEntry &e) const
+    {
+        return e.seg.approximate() &&
+               !(crb_.contains(e.id, e.seg.slpa()) &&
+                 crb_.contains(e.id, e.seg.endOff()));
+    }
+
+    /**
+     * segs_ index of the level-@a li segment covering @a off. One must
+     * exist: every caller knows the level's members hold @a off, or
+     * that a segment there covers it.
+     */
+    size_t findCovering(size_t li, uint8_t off) const;
+
+    /**
+     * segs_ index of the first level-@a li segment whose range ends at
+     * or after @a off: the start of the window of segments a range
+     * beginning at @a off can overlap (a level's ends ascend with its
+     * starts).
+     */
+    size_t firstEndingAtOrAfter(size_t li, uint8_t off) const;
 
     /**
      * Merge @a entry against overlapping victims of @a level_idx and
@@ -191,51 +264,73 @@ class Group
                   MergeScratch &scratch);
 
     /**
-     * Compaction variant: merge victims, but only move @a entry into
-     * the level when no range conflict survives.
-     * @return true when the entry was inserted.
+     * Compaction phase 2: move the level-@a li segment at segs_[i]
+     * (members @a bits) to its sorted place in level li + 1.
      */
-    bool tryInsertAt(size_t level_idx, const SegEntry &entry,
-                     MergeScratch &scratch);
+    void sinkSegment(size_t li, size_t i, const GroupMask &bits);
 
     /**
      * Shared merge step: apply Algorithm 2 to every victim of
-     * @a entry in @a level_idx. Dead victims are removed. Surviving
-     * range-conflicting victims are collected into scratch.conflicts
-     * (removed from the level when @a detach_conflicts is set).
+     * @a entry (whose members are @a entry_bits) in @a level_idx. Dead
+     * victims are removed. Surviving range-conflicting victims are
+     * collected into scratch.conflicts (removed from the level when
+     * @a detach_conflicts is set).
      */
     void mergeVictims(size_t level_idx, const SegEntry &entry,
-                      bool detach_conflicts, MergeScratch &scratch);
+                      const GroupMask &entry_bits, bool detach_conflicts,
+                      MergeScratch &scratch);
 
     /**
-     * Algorithm 2 on the victim at @a segs[i]: subtract
+     * Algorithm 2 on the level-@a li victim at segs_[i]: subtract
      * @a entry_bits from its members, then drop it when nothing is
-     * left or trim its range (and CRB run) to what is.
-     * @return false when the victim was dropped (segs[i] is now the
+     * left or trim its range (and CRB run) to what is, keeping the
+     * level's summary exact. @a kept receives the survivor's members.
+     * @return false when the victim was dropped (segs_[i] is now the
      *         next segment).
      */
-    bool subtractFromVictim(std::vector<SegEntry> &segs, size_t i,
-                            const GroupMask &entry_bits);
+    bool subtractFromVictim(size_t li, size_t i, const GroupMask &entry_bits,
+                            GroupMask &kept);
 
     /**
      * Compaction phase 1 against one lower level: Algorithm 2's
-     * subtraction of @a entry from each victim of @a level_idx, with
-     * dead victims removed and survivors trimmed -- mergeVictims()
-     * without the conflict collection phase 1 discards. Victims the
-     * subtraction provably leaves unchanged are skipped without
-     * building a mask; @a entry_bits caches the entry's mask across
-     * levels (built on the first victim that needs it).
+     * subtraction of @a entry (members @a entry_bits) from each victim
+     * of @a level_idx, with dead victims removed and survivors trimmed
+     * -- mergeVictims() without the conflict collection phase 1
+     * discards. Victims the subtraction provably leaves unchanged
+     * (nothing shared, not loose) are skipped.
      */
     void subtractFromLevel(size_t level_idx, const SegEntry &entry,
-                           std::optional<GroupMask> &entry_bits);
+                           const GroupMask &entry_bits);
 
     /** Pop a victim below @a from_level (Algorithm 1 lines 13-16). */
     void pushVictimDown(size_t from_level, const SegEntry &victim);
 
-    /** Remove a (dead) segment wherever it lives. */
-    void removeSegmentById(Crb::SegId id);
+    /**
+     * Before @a offs joins the CRB as a new run: detach the summary of
+     * every older run owning one of them, recording each owner in
+     * scratch.steals for reattachStolen().
+     */
+    void detachStolen(const std::vector<uint8_t> &offs,
+                      MergeScratch &scratch);
 
-    void insertSorted(Level &level, const SegEntry &entry);
+    /**
+     * After the CRB insert: re-add each recorded owner's (smaller)
+     * summary, or erase the segment when deduplication emptied its run.
+     */
+    void reattachStolen(MergeScratch &scratch);
+
+    /** Insert an empty level at index @a at. */
+    void addLevel(size_t at);
+
+    /** Insert @a entry with members @a bits into level @a li, sorted. */
+    void insertSorted(size_t li, const SegEntry &entry, const GroupMask &bits);
+
+    /** Remove segs_[i], whose members are @a bits, from level @a li. */
+    void eraseAt(size_t li, size_t i, const GroupMask &bits);
+
+    /** Remove segs_[i] from level @a li, leaving the summary alone. */
+    void eraseSegment(size_t li, size_t i);
+
     void dropEmptyLevels();
 
     /** Incremental segment-count bookkeeping (every mutation site). */
@@ -255,7 +350,8 @@ class Group
             num_approx_--;
     }
 
-    std::vector<Level> levels_; ///< [0] is the topmost (newest).
+    std::vector<SegEntry> segs_; ///< Every level's segments, level-major.
+    std::vector<Level> levels_;  ///< [0] is the topmost (newest).
     Crb crb_;
     uint32_t num_segs_ = 0;   ///< Live segments across all levels.
     uint32_t num_approx_ = 0; ///< Live approximate segments.

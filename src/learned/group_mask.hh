@@ -139,6 +139,17 @@ class GroupMask
         return m;
     }
 
+    bool operator==(const GroupMask &o) const = default;
+
+    /** In-place union. */
+    GroupMask &
+    operator|=(const GroupMask &o)
+    {
+        for (uint32_t w = 0; w < kWords; w++)
+            w_[w] |= o.w_[w];
+        return *this;
+    }
+
     /** In-place this &= ~other (Algorithm 2's subtraction). */
     void
     subtract(const GroupMask &o)

@@ -269,6 +269,13 @@ LearnedTable::restoreGroups(const std::vector<uint8_t> &blob, size_t at,
                 break;
             }
             Segment seg(slpa, length, kbits, intercept);
+            // An accurate segment ends on its stride grid (fitting and
+            // merge trims keep it there); the group's compaction relies
+            // on it.
+            if (!seg.approximate() && length % seg.stride() != 0) {
+                err = BlobError::Malformed;
+                break;
+            }
             GroupMask run;
             if (seg.approximate()) {
                 uint16_t len = 0;

@@ -24,7 +24,11 @@
  *     a mutation epoch and only taken for level-0 hits, where it is
  *     exact: within a level ranges never overlap, so a revalidated
  *     cached entry is the same segment a full scan would find, at the
- *     same depth -- observable results and stats are unchanged.
+ *     same depth -- observable results and stats are unchanged. The
+ *     entry pointer aims into the group's flat segment array, which
+ *     any learn, compaction or restore may shift or reallocate; every
+ *     one of them bumps the epoch (or resets the cache), so a stale
+ *     pointer is never dereferenced.
  */
 
 #pragma once
@@ -47,8 +51,9 @@ namespace leaftl
  * Typed outcome of parsing a serialized table/delta blob. Persisted
  * blobs live on flash, so readers must treat them as untrusted input:
  * every read is bounds-checked and structural invariants (ascending
- * group indices, sorted non-overlapping segments, CRB runs inside
- * their segment's range) are validated instead of asserted.
+ * group indices, sorted non-overlapping segments, accurate segments
+ * ending on their stride grid, CRB runs inside their segment's range)
+ * are validated instead of asserted.
  */
 enum class BlobError
 {
@@ -248,7 +253,8 @@ class LearnedTable
     {
         uint32_t group_idx = kInvalidLpa; ///< Cached group number.
         const Group *group = nullptr;     ///< Never cached when null.
-        const SegEntry *top = nullptr;    ///< Level-0 entry of last hit.
+        const SegEntry *top = nullptr;    ///< Level-0 entry of last hit
+                                          ///< (valid at epoch only).
         uint64_t epoch = 0;               ///< Epoch top was captured at.
     };
     mutable LookupCache cache_;

@@ -2,7 +2,8 @@
  * @file
  * The crash-point fuzzer: kill the device at randomized points in its
  * background machinery (mid-flush, mid-GC, mid-snapshot, torn journal
- * appends), recover, and assert every lookup matches a shadow map --
+ * appends), recover, check the rebuilt learned table's invariants,
+ * and assert every lookup matches a shadow map --
  * under the incremental snapshot+journal pipeline and under the
  * legacy monolithic one. Also fuzzes the hardened deserializers
  * (LearnedTable blobs, snapshot deltas, journal records) with
@@ -90,6 +91,19 @@ verifyShadow(Ssd &ssd, const std::map<Lpa, bool> &shadow)
 }
 
 /**
+ * The recovered learned table passes its own invariant walk: groups
+ * rebuilt from snapshots and deltas segment by segment must carry
+ * exact level summaries and counters (aborts on a violation).
+ */
+void
+checkRecoveredTable(const Ssd &ssd)
+{
+    const LearnedTable *table = ssd.ftl().learnedTable();
+    ASSERT_NE(table, nullptr);
+    table->checkInvariants();
+}
+
+/**
  * Fuzz one device: run a random write/trim/read/persist workload with
  * a crash armed at a random site, recover on every injected crash,
  * and verify the shadow map each time. Returns the crash count.
@@ -154,6 +168,7 @@ fuzzDevice(uint64_t seed, uint32_t gamma, uint64_t journal_threshold,
                       journal_threshold +
                           journalSlackBytes(ssd.config()));
         }
+        checkRecoveredTable(ssd);
         verifyShadow(ssd, shadow);
         if (::testing::Test::HasFailure()) {
             // Stop at the first failing recovery with its reproducer.
@@ -170,6 +185,7 @@ fuzzDevice(uint64_t seed, uint32_t gamma, uint64_t journal_threshold,
             // Double crash: recover again immediately from the same
             // durable state and re-verify.
             ssd.crashAndRecover(now);
+            checkRecoveredTable(ssd);
             verifyShadow(ssd, shadow);
         }
     }

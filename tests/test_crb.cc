@@ -15,9 +15,7 @@ namespace
 TEST(Crb, InsertAndLookup)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {100, 101, 103, 104, 106}, emptied);
-    EXPECT_TRUE(emptied.empty());
+    crb.insertRun(1, {100, 101, 103, 104, 106});
     EXPECT_TRUE(crb.contains(1, 103));
     EXPECT_FALSE(crb.contains(1, 102));
     EXPECT_EQ(crb.owner(104), 1u);
@@ -30,10 +28,9 @@ TEST(Crb, PaperFigure9Layout)
 {
     // Fig. 9: two approximate segments with interleaved LPAs.
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {100, 101, 103, 104, 106}, emptied);
-    crb.insertRun(2, {102, 105, 107, 108}, emptied);
-    EXPECT_TRUE(emptied.empty());
+    crb.insertRun(1, {100, 101, 103, 104, 106});
+    crb.insertRun(2, {102, 105, 107, 108});
+    EXPECT_EQ(crb.numRuns(), 2u);
 
     // Lookup LPA 105 resolves to segment 2, not segment 1, even
     // though 105 is inside segment 1's [100, 106] range.
@@ -46,10 +43,9 @@ TEST(Crb, PaperFigure9Layout)
 TEST(Crb, DeduplicationStealsOwnership)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {10, 20, 30}, emptied);
-    crb.insertRun(2, {20, 40}, emptied);
-    EXPECT_TRUE(emptied.empty());
+    crb.insertRun(1, {10, 20, 30});
+    crb.insertRun(2, {20, 40});
+    EXPECT_EQ(crb.numRuns(), 2u);
     EXPECT_EQ(crb.owner(20), 2u);
     EXPECT_FALSE(crb.contains(1, 20));
     EXPECT_EQ(crb.run(1).count(), 2u);
@@ -61,9 +57,8 @@ TEST(Crb, HeadCollisionRebasesOldRun)
     // Paper: a new segment starting at an existing run's SLPA bumps
     // the old run to its adjacent LPA.
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {100, 101, 103}, emptied);
-    crb.insertRun(2, {100, 102}, emptied);
+    crb.insertRun(1, {100, 101, 103});
+    crb.insertRun(2, {100, 102});
     EXPECT_EQ(crb.owner(100), 2u);
     EXPECT_EQ(crb.head(1), 101u);
 }
@@ -71,11 +66,8 @@ TEST(Crb, HeadCollisionRebasesOldRun)
 TEST(Crb, FullOverlapEmptiesOldRun)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {5, 6}, emptied);
-    crb.insertRun(2, {5, 6, 7}, emptied);
-    ASSERT_EQ(emptied.size(), 1u);
-    EXPECT_EQ(emptied[0], 1u);
+    crb.insertRun(1, {5, 6});
+    crb.insertRun(2, {5, 6, 7});
     EXPECT_EQ(crb.numRuns(), 1u);
     EXPECT_TRUE(crb.run(1).none());
 }
@@ -83,8 +75,7 @@ TEST(Crb, FullOverlapEmptiesOldRun)
 TEST(Crb, RemoveOffsetsTrimsAndReportsEmpty)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {1, 2, 3}, emptied);
+    crb.insertRun(1, {1, 2, 3});
     EXPECT_FALSE(crb.removeOffsets(1, {2}));
     EXPECT_FALSE(crb.contains(1, 2));
     EXPECT_EQ(crb.owner(2), Crb::kNoSeg);
@@ -95,9 +86,8 @@ TEST(Crb, RemoveOffsetsTrimsAndReportsEmpty)
 TEST(Crb, RemoveOffsetsSkipsForeignOwners)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {1, 2}, emptied);
-    crb.insertRun(2, {2, 3}, emptied); // Steals 2.
+    crb.insertRun(1, {1, 2});
+    crb.insertRun(2, {2, 3}); // Steals 2.
     EXPECT_FALSE(crb.removeOffsets(1, {2})); // 2 belongs to run 2 now.
     EXPECT_TRUE(crb.contains(2, 2));
     EXPECT_TRUE(crb.contains(1, 1));
@@ -106,8 +96,7 @@ TEST(Crb, RemoveOffsetsSkipsForeignOwners)
 TEST(Crb, RemoveRunReleasesOwnership)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {9, 10}, emptied);
+    crb.insertRun(1, {9, 10});
     crb.removeRun(1);
     EXPECT_EQ(crb.owner(9), Crb::kNoSeg);
     EXPECT_EQ(crb.numRuns(), 0u);
@@ -129,10 +118,9 @@ TEST(Crb, AverageSizeMatchesPaperScale)
     // Paper Fig. 10: CRBs average ~13.9 bytes. Sanity: small run
     // loads stay tens of bytes, far below the 256-byte worst case.
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {0, 3, 7}, emptied);
-    crb.insertRun(2, {10, 11, 14, 18}, emptied);
-    crb.insertRun(3, {40, 44}, emptied);
+    crb.insertRun(1, {0, 3, 7});
+    crb.insertRun(2, {10, 11, 14, 18});
+    crb.insertRun(3, {40, 44});
     EXPECT_LE(crb.sizeBytes(), 64u);
     EXPECT_EQ(crb.sizeBytes(), (3u + 1) + (4u + 1) + (2u + 1));
 }
@@ -140,11 +128,10 @@ TEST(Crb, AverageSizeMatchesPaperScale)
 TEST(CrbSlots, FreshIdsCountUpFromZero)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
     EXPECT_EQ(crb.unusedId(), 0u);
-    crb.insertRun(crb.unusedId(), {1, 2}, emptied);
+    crb.insertRun(crb.unusedId(), {1, 2});
     EXPECT_EQ(crb.unusedId(), 1u);
-    crb.insertRun(crb.unusedId(), {3}, emptied);
+    crb.insertRun(crb.unusedId(), {3});
     EXPECT_EQ(crb.unusedId(), 2u);
     crb.checkAccounting();
 }
@@ -152,18 +139,16 @@ TEST(CrbSlots, FreshIdsCountUpFromZero)
 TEST(CrbSlots, IdEmptiedByDedupIsReused)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(crb.unusedId(), {5, 6}, emptied);    // id 0
-    crb.insertRun(crb.unusedId(), {20, 21}, emptied);  // id 1
-    crb.insertRun(crb.unusedId(), {5, 6, 7}, emptied); // id 2 empties 0
-    ASSERT_EQ(emptied, (std::vector<Crb::SegId>{0}));
+    crb.insertRun(crb.unusedId(), {5, 6});    // id 0
+    crb.insertRun(crb.unusedId(), {20, 21});  // id 1
+    crb.insertRun(crb.unusedId(), {5, 6, 7}); // id 2 empties 0
     EXPECT_TRUE(crb.run(0).none());
     EXPECT_EQ(crb.numRuns(), 2u);
     EXPECT_EQ(crb.sizeBytes(), (2u + 1) + (3u + 1));
     crb.checkAccounting();
 
     ASSERT_EQ(crb.unusedId(), 0u);
-    crb.insertRun(0, {40}, emptied);
+    crb.insertRun(0, {40});
     EXPECT_EQ(crb.run(0).count(), 1u);
     EXPECT_TRUE(crb.run(0).test(40));
     EXPECT_EQ(crb.owner(40), 0u);
@@ -177,12 +162,10 @@ TEST(CrbSlots, IdEmptiedByDedupIsReused)
 TEST(CrbSlots, IdFreedByRemovalIsReusedNewestFirst)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
     for (uint32_t base = 0; base < 40; base += 10) // ids 0..3
         crb.insertRun(crb.unusedId(),
                       {static_cast<uint8_t>(base),
-                       static_cast<uint8_t>(base + 1)},
-                      emptied);
+                       static_cast<uint8_t>(base + 1)});
     crb.removeRun(1);
     EXPECT_TRUE(crb.removeOffsets(3, {30, 31}));
     EXPECT_TRUE(crb.run(1).none());
@@ -193,7 +176,7 @@ TEST(CrbSlots, IdFreedByRemovalIsReusedNewestFirst)
     crb.checkAccounting();
 
     EXPECT_EQ(crb.unusedId(), 3u);
-    crb.insertRun(crb.unusedId(), {50}, emptied);
+    crb.insertRun(crb.unusedId(), {50});
     EXPECT_EQ(crb.unusedId(), 1u);
     crb.restoreRun(crb.unusedId(), GroupMask{60, 61, 62});
     EXPECT_EQ(crb.unusedId(), 4u); // Free list drained: a fresh slot.
@@ -213,17 +196,16 @@ TEST(CrbSlots, IdFreedByRemovalIsReusedNewestFirst)
 TEST(CrbSlots, CallerChosenIdsLeaveTheFreeListConsistent)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(7, {1}, emptied); // Skips ids 0..6 without listing them.
+    crb.insertRun(7, {1}); // Skips ids 0..6 without listing them.
     EXPECT_EQ(crb.unusedId(), 8u);
-    crb.insertRun(3, {2}, emptied);
+    crb.insertRun(3, {2});
     crb.removeRun(3);
     crb.removeRun(7);
     EXPECT_EQ(crb.unusedId(), 7u);
     // Re-take the older freed id by hand: the newer one stays listed.
-    crb.insertRun(3, {4}, emptied);
+    crb.insertRun(3, {4});
     EXPECT_EQ(crb.unusedId(), 7u);
-    crb.insertRun(crb.unusedId(), {5}, emptied);
+    crb.insertRun(crb.unusedId(), {5});
     EXPECT_EQ(crb.unusedId(), 8u);
     EXPECT_EQ(crb.numRuns(), 2u);
     crb.checkAccounting();
@@ -232,16 +214,14 @@ TEST(CrbSlots, CallerChosenIdsLeaveTheFreeListConsistent)
 TEST(CrbDeath, ReusedIdAborts)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {1}, emptied);
-    EXPECT_DEATH(crb.insertRun(1, {2}, emptied), "id reused");
+    crb.insertRun(1, {1});
+    EXPECT_DEATH(crb.insertRun(1, {2}), "id reused");
 }
 
 TEST(CrbDeath, UnsortedRunAborts)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    EXPECT_DEATH(crb.insertRun(1, {5, 3}, emptied), "sorted");
+    EXPECT_DEATH(crb.insertRun(1, {5, 3}), "sorted");
 }
 
 } // namespace

@@ -2,9 +2,10 @@
  * @file
  * Unit tests for the 256-bit GroupMask, Group::segmentMask and the
  * CRB's per-run masks: word-boundary ranges, single points at both
- * group ends, every stride against a brute-force grid, and the CRB's
- * mask/owner/byte accounting through dedup, trimming, removal and
- * restore.
+ * group ends, every stride against a brute-force grid, every segment
+ * kind (accurate, trimmed, fresh and loose approximate) inside a real
+ * group, and the CRB's mask/owner/byte accounting through dedup,
+ * trimming, removal and restore.
  */
 
 #include <gtest/gtest.h>
@@ -223,23 +224,122 @@ TEST(SegmentMask, LearnedSegmentsAgreeWithHasLpa)
     EXPECT_GT(g.numApproximate(), 0u);
 }
 
+/** An approximate fitted segment holding exactly @a offs. */
+FittedSegment
+approxFit(const std::vector<uint8_t> &offs)
+{
+    FittedSegment fs;
+    const uint16_t kbits = float16SetTag(float16Encode(0.5f), true);
+    fs.seg = Segment(offs.front(),
+                     static_cast<uint8_t>(offs.back() - offs.front()), kbits,
+                     9000);
+    fs.offs = offs;
+    return fs;
+}
+
+/** An accurate fitted segment: @a n members from @a lo with stride @a d. */
+FittedSegment
+accurateFit(uint8_t lo, uint32_t n, uint32_t d)
+{
+    FittedSegment fs;
+    fs.seg = n == 1 ? Segment::makeSinglePoint(lo, 5000)
+                    : accurate(lo, static_cast<uint8_t>((n - 1) * d), d);
+    for (uint32_t k = 0; k < n; k++)
+        fs.offs.push_back(static_cast<uint8_t>(lo + k * d));
+    return fs;
+}
+
+/**
+ * Every live segment's mask agrees with hasLpa on all 256 offsets, and
+ * the group's summaries (rebuilt by checkInvariants) match.
+ * @return how many segments are loose (their CRB run lacks S or S+L).
+ */
+size_t
+expectMasksAgree(const Group &g)
+{
+    size_t loose = 0;
+    g.forEachSegment([&](const SegEntry &e, size_t) {
+        const GroupMask m = g.segmentMask(e);
+        for (uint32_t off = 0; off < kGroupSpan; off++)
+            ASSERT_EQ(m.test(static_cast<uint8_t>(off)),
+                      g.hasLpa(e, static_cast<uint8_t>(off)))
+                << e.seg.toString() << " off " << off;
+        if (e.seg.approximate() &&
+            (!m.test(e.seg.slpa()) || !m.test(e.seg.endOff())))
+            loose++;
+    });
+    g.checkInvariants();
+    return loose;
+}
+
+TEST(SegmentMask, EveryKindAgreesWithHasLpaInsideAGroup)
+{
+    // Accurate segments of every stride, fresh and trimmed at both
+    // ends by newer single points.
+    for (uint32_t d = 1; d <= 255; d++) {
+        for (uint8_t lo : {uint8_t{0}, uint8_t{1}, uint8_t{63}}) {
+            const uint32_t n = 1 + (255u - lo) / d;
+            if (n < 2)
+                continue;
+            SCOPED_TRACE(testing::Message() << "d " << d << " lo " << +lo);
+            Group g;
+            g.update(accurateFit(lo, n, d));
+            EXPECT_EQ(expectMasksAgree(g), 0u);
+            g.update(accurateFit(lo, 1, 1));
+            EXPECT_EQ(expectMasksAgree(g), 0u);
+            g.update(accurateFit(static_cast<uint8_t>(lo + (n - 1) * d), 1, 1));
+            EXPECT_EQ(expectMasksAgree(g), 0u);
+            g.compact();
+            EXPECT_EQ(expectMasksAgree(g), 0u);
+        }
+    }
+
+    // A fresh approximate segment, pushed to level 1 by an accurate
+    // segment inside its range; then newer runs steal its first offset
+    // or its last one. Only level 0 merges on insert, so the old run
+    // becomes loose (its range still spans the stolen end) and must
+    // still agree; compaction trims it.
+    for (const bool steal_first : {true, false}) {
+        SCOPED_TRACE(steal_first ? "first stolen" : "last stolen");
+        Group g;
+        g.update(approxFit({10, 13, 17, 30, 64, 65, 90}));
+        EXPECT_EQ(expectMasksAgree(g), 0u);
+        g.update(accurateFit(20, 2, 1));
+        ASSERT_EQ(g.numLevels(), 2u);
+        g.update(steal_first ? approxFit({2, 5, 10, 11})
+                             : approxFit({88, 90, 95, 99}));
+        EXPECT_EQ(expectMasksAgree(g), 1u);
+        g.update(accurateFit(17, 2, 47));
+        EXPECT_EQ(expectMasksAgree(g), 1u);
+        g.compact();
+        EXPECT_EQ(expectMasksAgree(g), 0u);
+    }
+
+    // Deduplication that empties an older run drops its segment.
+    Group g;
+    g.update(approxFit({40, 41, 47}));
+    g.update(approxFit({39, 40, 41, 47, 60}));
+    EXPECT_EQ(g.numSegments(), 1u);
+    expectMasksAgree(g);
+}
+
 TEST(CrbMask, InsertDedupClearsStolenBits)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {10, 70, 130, 200}, emptied);
-    crb.insertRun(2, {70, 71, 200}, emptied);
-    EXPECT_TRUE(emptied.empty());
+    crb.insertRun(1, {10, 70, 130, 200});
+    crb.insertRun(2, {70, 71, 200});
+    EXPECT_EQ(crb.numRuns(), 2u);
     expectMembers(crb.run(1), {10, 130});
     expectMembers(crb.run(2), {70, 71, 200});
     EXPECT_EQ(crb.sizeBytes(), (2u + 1) + (3u + 1));
     crb.checkAccounting();
 
-    // Full overlap empties run 1; emptied runs are reported in the
-    // order they lose their last offset.
-    crb.insertRun(3, {5, 10, 130}, emptied);
-    crb.insertRun(4, {70, 71, 200, 201}, emptied);
-    ASSERT_EQ(emptied, (std::vector<Crb::SegId>{1, 2}));
+    // Full overlap empties run 1, then run 2; emptied ids are freed in
+    // the order their runs lose their last offset, so the newest-first
+    // free list hands out 2 before 1.
+    crb.insertRun(3, {5, 10, 130});
+    crb.insertRun(4, {70, 71, 200, 201});
+    EXPECT_EQ(crb.unusedId(), 2u);
     EXPECT_TRUE(crb.run(1).none());
     EXPECT_TRUE(crb.run(2).none());
     EXPECT_EQ(crb.numRuns(), 2u);
@@ -250,9 +350,8 @@ TEST(CrbMask, InsertDedupClearsStolenBits)
 TEST(CrbMask, RemoveOffsetsClearsOnlyOwnedBits)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {0, 63, 64, 255}, emptied);
-    crb.insertRun(2, {1, 2}, emptied);
+    crb.insertRun(1, {0, 63, 64, 255});
+    crb.insertRun(2, {1, 2});
     // 1 and 2 belong to run 2; 100 belongs to nobody.
     EXPECT_FALSE(crb.removeOffsets(1, GroupMask{1, 2, 63, 64, 100}));
     expectMembers(crb.run(1), {0, 255});
@@ -273,8 +372,7 @@ TEST(CrbMask, RemoveOffsetsClearsOnlyOwnedBits)
 TEST(CrbMask, RemoveAndRestoreRunKeepAccounting)
 {
     Crb crb;
-    std::vector<Crb::SegId> emptied;
-    crb.insertRun(1, {3, 4, 128}, emptied);
+    crb.insertRun(1, {3, 4, 128});
     crb.removeRun(1);
     EXPECT_EQ(crb.owner(128), Crb::kNoSeg);
     EXPECT_EQ(crb.sizeBytes(), 0u);

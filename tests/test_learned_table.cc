@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the LearnedTable facade: multi-group learning, stats,
- * memory accounting, compaction, serialization round-trips, and a
- * differential property test across many groups.
+ * memory accounting, compaction, serialization round-trips, snapshot
+ * plus delta recovery, and a differential property test across many
+ * groups.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <map>
 
 #include "learned/learned_table.hh"
+#include "util/float16.hh"
 #include "util/rng.hh"
 
 namespace leaftl
@@ -141,6 +143,79 @@ TEST(LearnedTable, SerializeRoundTripPreservesLookups)
         EXPECT_EQ(a->ppa, b->ppa) << lpa;
         EXPECT_EQ(a->approximate, b->approximate);
     }
+}
+
+TEST(LearnedTable, DeltaOverSnapshotRebuildsValidSummaries)
+{
+    // Recovery path: a full snapshot, then deltas of learns and
+    // compactions on top. Every group the deltas replace is rebuilt
+    // segment by segment, so its level summaries must come out exact.
+    LearnedTable live(4);
+    Rng rng(23);
+    Ppa next_ppa = 100;
+    const auto learnSome = [&](int rounds) {
+        for (int round = 0; round < rounds; round++) {
+            std::vector<std::pair<Lpa, Ppa>> run;
+            Lpa lpa = rng.nextBounded(3000);
+            for (int i = 0; i < 40; i++) {
+                run.emplace_back(lpa, next_ppa++);
+                lpa += 1 + rng.nextBounded(6);
+            }
+            live.learn(run);
+        }
+    };
+    learnSome(20);
+    auto restored = LearnedTable::deserialize(live.serialize());
+    restored->checkInvariants();
+    live.clearDirty();
+    for (int step = 0; step < 6; step++) {
+        learnSome(8);
+        if (step % 2 == 1)
+            live.compact();
+        ASSERT_TRUE(restored->applyDelta(live.serializeDirty()));
+        live.clearDirty();
+        restored->checkInvariants();
+        EXPECT_EQ(restored->serialize(), live.serialize()) << step;
+    }
+    for (Lpa lpa = 0; lpa < 3300; lpa++) {
+        const auto a = live.lookup(lpa);
+        const auto b = restored->lookup(lpa);
+        ASSERT_EQ(a.has_value(), b.has_value()) << lpa;
+        if (a) {
+            EXPECT_EQ(a->ppa, b->ppa) << lpa;
+            EXPECT_EQ(a->levels_visited, b->levels_visited) << lpa;
+        }
+    }
+}
+
+TEST(LearnedTable, RestoreRejectsAccurateEndOffItsStrideGrid)
+{
+    // One group with one accurate stride-2 segment [0, L]: L = 4 ends
+    // on the grid, L = 5 does not, and compaction relies on the grid.
+    const auto blob = [](uint8_t length) {
+        std::vector<uint8_t> b;
+        const auto put = [&](uint64_t v, int bytes) {
+            for (int i = 0; i < bytes; i++)
+                b.push_back(static_cast<uint8_t>(v >> (8 * i)));
+        };
+        put(0, 4); // gamma
+        put(1, 4); // groups
+        put(0, 4); // group index
+        put(1, 4); // segments
+        put(0, 2); // level
+        put(0, 1); // S
+        put(length, 1);
+        put(float16SetTag(float16Encode(0.5f), false), 2);
+        put(7000, 4); // I
+        return b;
+    };
+    BlobError err = BlobError::None;
+    auto table = LearnedTable::tryDeserialize(blob(4), &err);
+    ASSERT_NE(table, nullptr);
+    table->checkInvariants();
+    EXPECT_EQ(table->lookup(2)->ppa, 7001u);
+    EXPECT_EQ(LearnedTable::tryDeserialize(blob(5), &err), nullptr);
+    EXPECT_EQ(err, BlobError::Malformed);
 }
 
 TEST(LearnedTable, EmptySerializeRoundTrip)

@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the SFTL baseline: run compression, residency accounting,
- * and translation-page charging.
+ * Tests for the SFTL baseline: run compression (the incremental run
+ * count pinned to a full recount), residency accounting, and
+ * translation-page charging.
  */
 
 #include <gtest/gtest.h>
 
 #include "ftl/sftl.hh"
+#include "util/rng.hh"
 
 namespace leaftl
 {
@@ -143,6 +145,43 @@ TEST(Sftl, BudgetShrinkEvictsColdPages)
     EXPECT_EQ(ftl.residentMappingBytes(), one_page);
     // Full size unaffected by eviction.
     EXPECT_EQ(ftl.fullMappingBytes(), 2 * one_page);
+}
+
+TEST(Sftl, IncrementalRunCountMatchesFullRecount)
+{
+    // Random single-slot updates on pages of several sizes, biased
+    // towards the cases that move run boundaries: extending a
+    // neighbour's run, bridging two runs, splitting one, unmapping.
+    Rng rng(91);
+    for (const uint32_t size : {1u, 2u, 3u, 16u, 512u}) {
+        std::vector<Ppa> entries(size, kInvalidPpa);
+        uint32_t runs = 0;
+        for (int step = 0; step < 4000; step++) {
+            const uint32_t slot =
+                static_cast<uint32_t>(rng.nextBounded(size));
+            Ppa ppa = kInvalidPpa;
+            switch (rng.nextBounded(5)) {
+            case 0:
+                break; // unmap
+            case 1:
+                if (slot > 0 && entries[slot - 1] != kInvalidPpa)
+                    ppa = entries[slot - 1] + 1;
+                break;
+            case 2:
+                if (slot + 1 < size && entries[slot + 1] != kInvalidPpa &&
+                    entries[slot + 1] > 0)
+                    ppa = entries[slot + 1] - 1;
+                break;
+            default:
+                ppa = static_cast<Ppa>(rng.nextBounded(64));
+                break;
+            }
+            runs = Sftl::setEntry(entries, runs, slot, ppa);
+            ASSERT_EQ(entries[slot], ppa);
+            ASSERT_EQ(runs, Sftl::countRuns(entries))
+                << "size " << size << " step " << step;
+        }
+    }
 }
 
 } // namespace
